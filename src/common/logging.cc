@@ -50,16 +50,6 @@ elapsedSeconds()
         .count();
 }
 
-/** Stable small per-thread id, assigned in first-log order. */
-unsigned
-threadId()
-{
-    static std::atomic<unsigned> next{0};
-    static thread_local unsigned id =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
-
 /**
  * Assemble the whole line in one buffer and write it with a single
  * fprintf so concurrent threads never interleave mid-line.
@@ -86,6 +76,15 @@ enabled(LogLevel level)
 }
 
 } // anonymous namespace
+
+unsigned
+threadId()
+{
+    static std::atomic<unsigned> next{0};
+    static thread_local const unsigned id =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return id;
+}
 
 void
 setLogLevel(LogLevel level)

@@ -40,6 +40,13 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /**
+ * Small process-wide id of the calling thread, assigned in first-use
+ * order and stable for the thread's lifetime. Log lines print it as
+ * `tNN`; trace spans carry it as their tid.
+ */
+unsigned threadId();
+
+/**
  * Report an internal invariant violation and abort.
  *
  * Use for conditions that can never happen unless the library itself is

@@ -1,60 +1,31 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
 
-#include "common/logging.hh"
 #include "obs/json_util.hh"
 
 namespace cac::obs
 {
 
-namespace
-{
-
-enum class Kind
+enum class Registry::Kind
 {
     Counter,
     Gauge,
     Histogram
 };
 
-/** Monotonic id so thread-local shard caches never confuse a live
- *  registry with a destroyed one that happened to reuse its address. */
-std::atomic<std::uint64_t> next_epoch{1};
-
-} // anonymous namespace
-
-struct Registry::MetricDef
+struct Registry::Metric
 {
     std::string name;
-    Kind kind;
-    std::size_t index; ///< index into the shard vector of this kind
+    Kind kind = Kind::Counter;
+    MetricCell cell;
 };
 
-struct Registry::Shard
-{
-    /** One cell per histogram id: count, sum, log2 buckets. */
-    struct HistCell
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::array<std::uint64_t, kHistBuckets> buckets{};
-    };
-
-    std::vector<std::uint64_t> counters;
-    std::vector<std::uint64_t> gauges;
-    std::vector<HistCell> hists;
-};
-
-Registry::Registry()
-    : epoch_(next_epoch.fetch_add(1, std::memory_order_relaxed))
-{
-}
+Registry::Registry() = default;
 
 Registry::~Registry() = default;
 
@@ -65,52 +36,36 @@ Registry::global()
     return instance;
 }
 
+MetricCell *
+Registry::cell(const std::string &name, Kind kind)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &metric : metrics_) {
+        if (metric->kind == kind && metric->name == name)
+            return &metric->cell;
+    }
+    auto &metric = metrics_.emplace_back(std::make_unique<Metric>());
+    metric->name = name;
+    metric->kind = kind;
+    return &metric->cell;
+}
+
 Counter
 Registry::counter(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t next = 0;
-    for (const MetricDef &def : defs_) {
-        if (def.kind != Kind::Counter)
-            continue;
-        if (def.name == name)
-            return Counter(this, def.index);
-        next = std::max(next, def.index + 1);
-    }
-    defs_.push_back({name, Kind::Counter, next});
-    return Counter(this, next);
+    return Counter(this, cell(name, Kind::Counter));
 }
 
 Gauge
 Registry::gauge(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t next = 0;
-    for (const MetricDef &def : defs_) {
-        if (def.kind != Kind::Gauge)
-            continue;
-        if (def.name == name)
-            return Gauge(this, def.index);
-        next = std::max(next, def.index + 1);
-    }
-    defs_.push_back({name, Kind::Gauge, next});
-    return Gauge(this, next);
+    return Gauge(this, cell(name, Kind::Gauge));
 }
 
 Histogram
 Registry::histogram(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t next = 0;
-    for (const MetricDef &def : defs_) {
-        if (def.kind != Kind::Histogram)
-            continue;
-        if (def.name == name)
-            return Histogram(this, def.index);
-        next = std::max(next, def.index + 1);
-    }
-    defs_.push_back({name, Kind::Histogram, next});
-    return Histogram(this, next);
+    return Histogram(this, cell(name, Kind::Histogram));
 }
 
 void
@@ -119,41 +74,12 @@ Registry::setEnabled(bool on)
     enabled_.store(on, std::memory_order_relaxed);
 }
 
-Registry::Shard *
-Registry::localShard()
-{
-    struct TlsEntry
-    {
-        std::uint64_t epoch;
-        Shard *shard;
-    };
-    // One slot per registry instance this thread has touched. Entries
-    // for destroyed registries stay inert: their epoch never matches
-    // a live registry again.
-    static thread_local std::vector<TlsEntry> cache;
-    for (const TlsEntry &entry : cache) {
-        if (entry.epoch == epoch_)
-            return entry.shard;
-    }
-    Shard *shard;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::make_unique<Shard>());
-        shard = shards_.back().get();
-    }
-    cache.push_back({epoch_, shard});
-    return shard;
-}
-
 void
 Counter::add(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->counters.size())
-        shard->counters.resize(id_ + 1, 0);
-    shard->counters[id_] += v;
+    cell_->value.fetch_add(v, std::memory_order_relaxed);
 }
 
 void
@@ -161,10 +87,11 @@ Gauge::set(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->gauges.size())
-        shard->gauges.resize(id_ + 1, 0);
-    shard->gauges[id_] = std::max(shard->gauges[id_], v);
+    std::uint64_t high = cell_->value.load(std::memory_order_relaxed);
+    while (high < v
+           && !cell_->value.compare_exchange_weak(
+               high, v, std::memory_order_relaxed)) {
+    }
 }
 
 void
@@ -172,13 +99,9 @@ Histogram::observe(std::uint64_t v) const
 {
     if (!owner_ || !owner_->enabled())
         return;
-    Registry::Shard *shard = owner_->localShard();
-    if (id_ >= shard->hists.size())
-        shard->hists.resize(id_ + 1);
-    Registry::Shard::HistCell &cell = shard->hists[id_];
-    cell.count += 1;
-    cell.sum += v;
-    cell.buckets[std::bit_width(v)] += 1;
+    cell_->value.fetch_add(v, std::memory_order_relaxed);
+    cell_->buckets[std::bit_width(v)].fetch_add(1,
+                                                std::memory_order_relaxed);
 }
 
 MetricsSnapshot
@@ -186,37 +109,24 @@ Registry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     MetricsSnapshot snap;
-    for (const MetricDef &def : defs_) {
-        switch (def.kind) {
-          case Kind::Counter: {
-            std::uint64_t total = 0;
-            for (const auto &shard : shards_) {
-                if (def.index < shard->counters.size())
-                    total += shard->counters[def.index];
-            }
-            snap.counters.emplace_back(def.name, total);
+    for (const auto &metric : metrics_) {
+        const std::uint64_t value =
+            metric->cell.value.load(std::memory_order_relaxed);
+        switch (metric->kind) {
+          case Kind::Counter:
+            snap.counters.emplace_back(metric->name, value);
             break;
-          }
-          case Kind::Gauge: {
-            std::uint64_t high = 0;
-            for (const auto &shard : shards_) {
-                if (def.index < shard->gauges.size())
-                    high = std::max(high, shard->gauges[def.index]);
-            }
-            snap.gauges.emplace_back(def.name, high);
+          case Kind::Gauge:
+            snap.gauges.emplace_back(metric->name, value);
             break;
-          }
           case Kind::Histogram: {
             HistSnapshot hist;
-            hist.name = def.name;
-            for (const auto &shard : shards_) {
-                if (def.index >= shard->hists.size())
-                    continue;
-                const Shard::HistCell &cell = shard->hists[def.index];
-                hist.count += cell.count;
-                hist.sum += cell.sum;
-                for (std::size_t b = 0; b < kHistBuckets; ++b)
-                    hist.buckets[b] += cell.buckets[b];
+            hist.name = metric->name;
+            hist.sum = value;
+            for (std::size_t b = 0; b < kHistBuckets; ++b) {
+                hist.buckets[b] =
+                    metric->cell.buckets[b].load(std::memory_order_relaxed);
+                hist.count += hist.buckets[b];
             }
             snap.histograms.push_back(std::move(hist));
             break;
@@ -239,19 +149,11 @@ void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &shard : shards_) {
-        std::fill(shard->counters.begin(), shard->counters.end(), 0);
-        std::fill(shard->gauges.begin(), shard->gauges.end(), 0);
-        for (auto &cell : shard->hists)
-            cell = Shard::HistCell{};
+    for (const auto &metric : metrics_) {
+        metric->cell.value.store(0, std::memory_order_relaxed);
+        for (auto &bucket : metric->cell.buckets)
+            bucket.store(0, std::memory_order_relaxed);
     }
-}
-
-std::size_t
-Registry::shardCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shards_.size();
 }
 
 std::uint64_t

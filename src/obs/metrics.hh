@@ -1,32 +1,33 @@
 /**
  * @file
- * Metrics registry: counters, gauges and log-bucket histograms in
- * per-thread shards, merged deterministically at snapshot time.
+ * Metrics registry: counters, gauges and log-bucket histograms held in
+ * shared atomic cells, read into a deterministic name-sorted snapshot.
  *
  * Design constraints (this rides inside a replay engine doing >100M
  * accesses/s, so the hot-path rules are strict):
  *
  *  - An update while metrics are runtime-disabled costs one relaxed
  *    atomic load and a branch.
- *  - An update while enabled touches only this thread's shard — a
- *    dense vector indexed by metric id — so there is no cross-thread
- *    cache-line traffic and no lock on the update path.
+ *  - An update while enabled is one or two relaxed atomic operations
+ *    on the metric's own cell; handles point straight at their cell,
+ *    so there is no lookup and no lock on the update path.
  *  - Updates happen at *boundaries* (per chunk, per segment, per
- *    retry), never per access; see obs/obs.hh.
+ *    request, per retry), never per access; see obs/obs.hh. At that
+ *    rate contention on a shared cell is negligible.
  *
- * Determinism: snapshot() merges shards with order-independent
- * operators (counters and histogram buckets sum, gauges take the max)
- * and reports metrics sorted by name, so the merged snapshot of a run
- * is identical whether the work ran on 1, 4 or 8 worker threads
- * (tests/obs/test_metrics.cc pins this down).
+ * Determinism: every update is order-independent (counters and
+ * histogram buckets sum, gauges take the max) and snapshots sort by
+ * name, so the snapshot of a run is identical whether the work ran on
+ * 1, 4 or 8 worker threads (tests/obs/test_metrics.cc pins this down).
  *
- * Concurrency contract: updates are thread-safe from any number of
- * threads concurrently. snapshot()/reset() must run at a quiesce
- * point — after the instrumented work has been joined (SweepRunner's
- * parallelFor joins its pool before results are read, which is where
- * the engine snapshots). Shards are owned by the registry and survive
- * thread exit, so short-lived worker threads keep contributing to the
- * merged totals.
+ * Concurrency contract: updates, registration, snapshot() and reset()
+ * are all safe from any number of threads at once, so a live read
+ * while work is in flight (the service's Stats request) is allowed.
+ * A live snapshot reads each cell once: counters never go backwards
+ * between successive snapshots, and a histogram's count is derived
+ * from its buckets so it never runs ahead of them. Totals are exact
+ * only once the writers have stopped. Cells are owned by the registry
+ * and live as long as it does.
  */
 
 #ifndef CAC_OBS_METRICS_HH
@@ -51,6 +52,18 @@ class Registry;
 constexpr std::size_t kHistBuckets = 65;
 
 /**
+ * Storage of one registered metric: a counter's total, a gauge's
+ * high-water mark or a histogram's sum in @c value, plus a histogram's
+ * log2 buckets. Owned by its Registry at a fixed address; handles
+ * point at it directly.
+ */
+struct MetricCell
+{
+    std::atomic<std::uint64_t> value{0};
+    std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+};
+
+/**
  * Handle to a named monotonic counter. Cheap to copy; obtain once per
  * call site (e.g. a function-local static) via Registry::counter().
  */
@@ -58,33 +71,38 @@ class Counter
 {
   public:
     Counter() = default;
-    /** Add @p v to this thread's shard (no-op while disabled). */
+    /** Add @p v to the counter (no-op while disabled). */
     void add(std::uint64_t v) const;
 
   private:
     friend class Registry;
-    Counter(Registry *owner, std::size_t id) : owner_(owner), id_(id) {}
-    Registry *owner_ = nullptr;
-    std::size_t id_ = 0;
+    Counter(const Registry *owner, MetricCell *cell)
+        : owner_(owner), cell_(cell)
+    {
+    }
+    const Registry *owner_ = nullptr;
+    MetricCell *cell_ = nullptr;
 };
 
 /**
- * Handle to a named gauge. Shards merge by max, so a gauge reports the
- * high-water mark across all threads (e.g. deepest queue, largest
- * ring-buffer occupancy).
+ * Handle to a named gauge. A gauge keeps the high-water mark of every
+ * value set from any thread (e.g. deepest queue, largest occupancy).
  */
 class Gauge
 {
   public:
     Gauge() = default;
-    /** Raise this thread's value to at least @p v. */
+    /** Raise the gauge to at least @p v. */
     void set(std::uint64_t v) const;
 
   private:
     friend class Registry;
-    Gauge(Registry *owner, std::size_t id) : owner_(owner), id_(id) {}
-    Registry *owner_ = nullptr;
-    std::size_t id_ = 0;
+    Gauge(const Registry *owner, MetricCell *cell)
+        : owner_(owner), cell_(cell)
+    {
+    }
+    const Registry *owner_ = nullptr;
+    MetricCell *cell_ = nullptr;
 };
 
 /**
@@ -100,16 +118,19 @@ class Histogram
 
   private:
     friend class Registry;
-    Histogram(Registry *owner, std::size_t id) : owner_(owner), id_(id) {}
-    Registry *owner_ = nullptr;
-    std::size_t id_ = 0;
+    Histogram(const Registry *owner, MetricCell *cell)
+        : owner_(owner), cell_(cell)
+    {
+    }
+    const Registry *owner_ = nullptr;
+    MetricCell *cell_ = nullptr;
 };
 
-/** One merged histogram in a snapshot. */
+/** One histogram in a snapshot. */
 struct HistSnapshot
 {
     std::string name;
-    std::uint64_t count = 0; ///< total observations
+    std::uint64_t count = 0; ///< total observations (sum of buckets)
     std::uint64_t sum = 0;   ///< sum of observed values
     std::array<std::uint64_t, kHistBuckets> buckets{};
 
@@ -122,7 +143,7 @@ struct HistSnapshot
     std::uint64_t quantile(double q) const;
 };
 
-/** Deterministic merged view of every shard, sorted by metric name. */
+/** Deterministic view of every metric, sorted by metric name. */
 struct MetricsSnapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -165,31 +186,22 @@ class Registry
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Merge every shard (quiesce point only; see file comment). */
+    /** Read every metric; safe while updates are in flight. */
     MetricsSnapshot snapshot() const;
 
-    /** Zero every shard's values (quiesce point only). */
+    /** Zero every metric; safe while updates are in flight. */
     void reset();
 
-    /** Number of per-thread shards ever registered. */
-    std::size_t shardCount() const;
-
   private:
-    friend class Counter;
-    friend class Gauge;
-    friend class Histogram;
+    enum class Kind;
+    struct Metric;
 
-    struct Shard;
-    struct MetricDef;
-
-    Shard *localShard();
-    void update(std::size_t id, std::uint64_t v);
+    /** The cell of metric @p name of @p kind, registered on first use. */
+    MetricCell *cell(const std::string &name, Kind kind);
 
     std::atomic<bool> enabled_{false};
-    mutable std::mutex mutex_; ///< guards defs_ and shards_ registration
-    std::vector<MetricDef> defs_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::uint64_t epoch_; ///< distinguishes registry instances in TLS
+    mutable std::mutex mutex_; ///< guards metrics_ registration
+    std::vector<std::unique_ptr<Metric>> metrics_;
 };
 
 /**

@@ -6,10 +6,10 @@
  * Three surfaces live under src/obs/ (docs/OBSERVABILITY.md):
  *
  *  - a metrics registry (obs/metrics.hh) — counters, gauges and
- *    log-bucket histograms in per-thread shards, merged
- *    deterministically at snapshot time;
- *  - tracing spans (obs/trace_event.hh) — per-thread ring buffers of
- *    begin/end spans exported as Chrome trace-event JSON
+ *    log-bucket histograms in shared atomic cells, read into a
+ *    deterministic snapshot that is safe to take while work runs;
+ *  - tracing spans (obs/trace_event.hh) — one bounded, locked buffer
+ *    of begin/end spans exported as Chrome trace-event JSON
  *    (chrome://tracing, Perfetto);
  *  - a run manifest (obs/manifest.hh) — build + dispatch provenance
  *    stamped into every emitted artifact.
@@ -19,8 +19,11 @@
  * never inside the per-access hot loop. Each macro compiles to nothing
  * when the library is built with -DCAC_OBS=0, and when compiled in it
  * costs one relaxed atomic load while telemetry is disabled at runtime
- * (the default). bench/perf_engine's schema-8 "observability" section
- * measures both prices and tools/check_perf.py gates them
+ * (the default). Because every site fires at boundary rate, the
+ * enabled path can afford a shared atomic add per update and one
+ * uncontended lock per span. bench/perf_engine's schema-8
+ * "observability" section measures both prices and
+ * tools/check_perf.py gates them
  * (disabled >= 0.97x, metrics+windows enabled >= 0.90x of the plain
  * scenario replay rate).
  */
@@ -63,7 +66,7 @@
         cat, name, detail)
 
 /**
- * Bump a named counter in this thread's metrics shard. @p counter is a
+ * Bump a named counter (one relaxed atomic add). @p counter is a
  * `static const cac::obs::Counter` the call site obtains once via
  * Registry::global().counter(name).
  */

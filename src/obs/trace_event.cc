@@ -1,38 +1,17 @@
 #include "obs/trace_event.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/logging.hh"
 #include "obs/json_util.hh"
 #include "obs/manifest.hh"
 
 namespace cac::obs
 {
 
-namespace
-{
-
-std::atomic<std::uint64_t> next_epoch{1};
-
-} // anonymous namespace
-
-struct Tracer::Ring
-{
-    std::uint32_t tid;
-    std::size_t capacity; ///< snapshot of the tracer capacity setting
-    std::vector<TraceEvent> events; ///< append-only up to capacity
-    std::uint64_t dropped = 0;
-};
-
-Tracer::Tracer()
-    : origin_(std::chrono::steady_clock::now()),
-      epoch_(next_epoch.fetch_add(1, std::memory_order_relaxed))
-{
-}
-
-Tracer::~Tracer() = default;
+Tracer::Tracer() : origin_(std::chrono::steady_clock::now()) {}
 
 Tracer &
 Tracer::global()
@@ -42,17 +21,13 @@ Tracer::global()
 }
 
 void
-Tracer::enable(std::size_t ring_capacity)
+Tracer::enable(std::size_t capacity)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ring_capacity_ = ring_capacity;
-        for (auto &ring : rings_) {
-            ring->capacity = ring_capacity;
-            ring->events.clear();
-            ring->events.reserve(ring->capacity);
-            ring->dropped = 0;
-        }
+        capacity_ = capacity;
+        events_.clear();
+        dropped_ = 0;
     }
     origin_ = std::chrono::steady_clock::now();
     enabled_.store(true, std::memory_order_relaxed);
@@ -73,61 +48,35 @@ Tracer::nowUs() const
             .count());
 }
 
-Tracer::Ring *
-Tracer::localRing()
-{
-    struct TlsEntry
-    {
-        std::uint64_t epoch;
-        Ring *ring;
-    };
-    static thread_local std::vector<TlsEntry> cache;
-    for (const TlsEntry &entry : cache) {
-        if (entry.epoch == epoch_)
-            return entry.ring;
-    }
-    Ring *ring;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto owned = std::make_unique<Ring>();
-        owned->tid = static_cast<std::uint32_t>(rings_.size());
-        owned->capacity = ring_capacity_;
-        owned->events.reserve(owned->capacity);
-        rings_.push_back(std::move(owned));
-        ring = rings_.back().get();
-    }
-    cache.push_back({epoch_, ring});
-    return ring;
-}
-
 void
 Tracer::record(const char *cat, const char *name, std::uint64_t start_us,
                std::uint64_t end_us, std::string detail)
 {
     if (!enabled())
         return;
-    Ring *ring = localRing();
-    if (ring->events.size() >= ring->capacity) {
-        ring->dropped += 1;
-        return;
-    }
     TraceEvent event;
     event.cat = cat;
     event.name = name;
     event.detail = std::move(detail);
     event.startUs = start_us;
     event.endUs = end_us;
-    event.tid = ring->tid;
-    ring->events.push_back(std::move(event));
+    event.tid = threadId();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (events_.size() >= capacity_) {
+        dropped_ += 1;
+        return;
+    }
+    events_.push_back(std::move(event));
 }
 
 std::vector<TraceEvent>
 Tracer::drain() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<TraceEvent> all;
-    for (const auto &ring : rings_)
-        all.insert(all.end(), ring->events.begin(), ring->events.end());
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        all = events_;
+    }
     std::sort(all.begin(), all.end(),
               [](const TraceEvent &a, const TraceEvent &b) {
                   if (a.startUs != b.startUs)
@@ -143,32 +92,15 @@ std::uint64_t
 Tracer::dropped() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &ring : rings_)
-        total += ring->dropped;
-    return total;
-}
-
-std::size_t
-Tracer::threadCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &ring : rings_) {
-        if (!ring->events.empty() || ring->dropped)
-            ++n;
-    }
-    return n;
+    return dropped_;
 }
 
 void
 Tracer::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &ring : rings_) {
-        ring->events.clear();
-        ring->dropped = 0;
-    }
+    events_.clear();
+    dropped_ = 0;
 }
 
 ScopedSpan::ScopedSpan(const char *cat, const char *name,

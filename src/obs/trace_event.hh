@@ -1,25 +1,28 @@
 /**
  * @file
- * Tracing spans: per-thread ring buffers of begin/end intervals,
- * exported as Chrome trace-event JSON — the file loads directly in
- * chrome://tracing or https://ui.perfetto.dev.
+ * Tracing spans: one bounded buffer of begin/end intervals shared by
+ * every thread, exported as Chrome trace-event JSON — the file loads
+ * directly in chrome://tracing or https://ui.perfetto.dev.
  *
  * Span discipline mirrors the metrics layer (obs/metrics.hh): opening
  * a span while tracing is runtime-disabled costs one relaxed atomic
- * load; while enabled, closing a span appends one record to this
- * thread's ring buffer — no locks, no allocation (unless the span
- * carries a detail string). Rings are fixed-capacity; once a thread's
- * ring is full, further spans on that thread are counted as dropped
- * rather than evicting older ones, and the drop count is reported in
- * the emitted file's otherData.
+ * load; while enabled, closing a span appends one record to the
+ * tracer's buffer under its mutex. Spans open at boundaries only, so
+ * that lock is uncontended in practice. The buffer's capacity is a
+ * total across all threads; once it is full, further spans are counted
+ * as dropped rather than evicting older ones, and the drop count is
+ * reported in the emitted file's otherData.
+ *
+ * Each span carries the recording thread's process-wide id, the same
+ * id the log sink prints (common/logging.hh), so a trace lane and a
+ * log line from one thread match.
  *
  * Nesting: start and end times are read from one monotonic clock and
  * truncated identically, so a span opened inside another is always
  * contained in it down to the microsecond — tools/check_obs.py
  * validates per-thread span nesting exactly, no epsilon.
  *
- * drain()/chromeJson()/clear() are quiesce-point operations, same
- * contract as Registry::snapshot().
+ * drain(), dropped() and clear() are safe while other threads record.
  */
 
 #ifndef CAC_OBS_TRACE_EVENT_HH
@@ -28,7 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -46,7 +48,7 @@ struct TraceEvent
     std::string detail;      ///< optional per-instance argument
     std::uint64_t startUs = 0;
     std::uint64_t endUs = 0;
-    std::uint32_t tid = 0;   ///< tracer-assigned sequential thread id
+    std::uint32_t tid = 0;   ///< recording thread's id (see threadId())
 };
 
 /**
@@ -56,11 +58,10 @@ struct TraceEvent
 class Tracer
 {
   public:
-    /** Default per-thread ring capacity (spans). */
-    static constexpr std::size_t kDefaultRingCapacity = 1 << 16;
+    /** Default capacity (spans, total across all threads). */
+    static constexpr std::size_t kDefaultCapacity = 1 << 18;
 
     Tracer();
-    ~Tracer();
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
@@ -69,10 +70,10 @@ class Tracer
 
     /**
      * Start collecting. Resets the time origin to now; spans opened
-     * from here on are recorded. Rings registered by earlier runs are
-     * cleared.
+     * from here on are recorded, up to @p capacity in total. Spans
+     * recorded by earlier runs are cleared.
      */
-    void enable(std::size_t ring_capacity = kDefaultRingCapacity);
+    void enable(std::size_t capacity = kDefaultCapacity);
 
     /** Stop collecting (already-recorded spans are kept). */
     void disable();
@@ -86,37 +87,31 @@ class Tracer
     /** Microseconds since enable() on the tracer's monotonic clock. */
     std::uint64_t nowUs() const;
 
-    /** Append a completed span to this thread's ring. */
+    /** Append a completed span, or count it dropped when full. */
     void record(const char *cat, const char *name, std::uint64_t start_us,
                 std::uint64_t end_us, std::string detail = {});
 
     /**
-     * Merged copy of every ring, sorted for viewer/validator
+     * Copy of every recorded span, sorted for viewer/validator
      * consumption: by start time, then longer spans first (parents
-     * before children), then thread id. Quiesce point only.
+     * before children), then thread id. Spans equal on all three
+     * keys keep no defined order.
      */
     std::vector<TraceEvent> drain() const;
 
-    /** Total spans rejected because a ring was full. */
+    /** Total spans rejected because the buffer was full. */
     std::uint64_t dropped() const;
 
-    /** Number of threads that have recorded at least one span. */
-    std::size_t threadCount() const;
-
-    /** Drop all recorded spans and the drop count (quiesce only). */
+    /** Drop all recorded spans and the drop count. */
     void clear();
 
   private:
-    struct Ring;
-
-    Ring *localRing();
-
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point origin_;
-    std::size_t ring_capacity_ = kDefaultRingCapacity;
-    mutable std::mutex mutex_; ///< guards rings_ registration
-    std::vector<std::unique_ptr<Ring>> rings_;
-    std::uint64_t epoch_;
+    mutable std::mutex mutex_; ///< guards the three members below
+    std::size_t capacity_ = kDefaultCapacity;
+    std::vector<TraceEvent> events_;
+    std::uint64_t dropped_ = 0;
 };
 
 /**

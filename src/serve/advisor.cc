@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/index_search.hh"
+#include "common/bits.hh"
 #include "core/registry.hh"
 #include "core/sweep.hh"
 #include "obs/obs.hh"
@@ -16,24 +17,6 @@ namespace cac::serve
 
 namespace
 {
-
-bool
-isPow2(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-/** log2 of a power of two. */
-unsigned
-log2u(std::uint64_t v)
-{
-    unsigned bits = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++bits;
-    }
-    return bits;
-}
 
 Error
 badRequest(const std::string &detail)
@@ -157,8 +140,8 @@ parseAdvisorRequest(MsgType kind,
 
     // Geometry sanity (the engine's CacheGeometry constructor is fatal
     // on these, so they must be caught here, softly).
-    if (!isPow2(request.sizeBytes) || !isPow2(request.blockBytes)
-        || !isPow2(ways)) {
+    if (!isPowerOf2(request.sizeBytes) || !isPowerOf2(request.blockBytes)
+        || !isPowerOf2(ways)) {
         return badRequest("size, block and ways must be powers of two");
     }
     if (request.blockBytes < 8 || request.blockBytes > 4096)
@@ -204,7 +187,7 @@ parseAdvisorRequest(MsgType kind,
         return badRequest("size must be a multiple of block * ways, "
                           "with at least two sets");
     }
-    const unsigned set_bits = log2u(
+    const unsigned set_bits = floorLog2(
         request.sizeBytes / (request.blockBytes * request.ways));
 
     std::uint64_t polys = request.polyStarts;

@@ -31,6 +31,12 @@ nowMicros()
             .count());
 }
 
+/**
+ * A serve.* counter. These are the service's operational surface (the
+ * STATS reply), like the memo cache's counters, so they are updated
+ * directly rather than through the CAC_OBS_* macros, which compile
+ * out under CAC_OBS=OFF.
+ */
 obs::Counter
 serveCounter(const char *name)
 {
@@ -170,7 +176,7 @@ Server::acceptLoop()
                 continue;
             break; // listener closed (shutdown) or broken
         }
-        CAC_OBS_COUNT(connections, 1);
+        connections.add(1);
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         std::lock_guard<std::mutex> lock(connMutex_);
@@ -197,7 +203,7 @@ Server::handleConnection(int fd)
             if (err.code == ErrorCode::Protocol) {
                 static obs::Counter protocol_errors =
                     serveCounter("serve.errors.protocol");
-                CAC_OBS_COUNT(protocol_errors, 1);
+                protocol_errors.add(1);
                 sendError(fd, 0, err);
             }
             break;
@@ -205,7 +211,7 @@ Server::handleConnection(int fd)
         if (!isRequestType(frame.header.type)) {
             static obs::Counter protocol_errors =
                 serveCounter("serve.errors.protocol");
-            CAC_OBS_COUNT(protocol_errors, 1);
+            protocol_errors.add(1);
             sendError(fd, frame.header.requestId,
                       Error::make(ErrorCode::Protocol,
                                   std::string("'")
@@ -227,28 +233,28 @@ Server::handleFrame(int fd, const Frame &frame)
     static obs::Counter requests = serveCounter("serve.requests");
     static obs::Histogram request_us =
         obs::Registry::global().histogram("serve.request_us");
-    CAC_OBS_COUNT(requests, 1);
+    requests.add(1);
     const std::uint64_t start_us = nowMicros();
     const std::uint32_t id = frame.header.requestId;
 
     switch (frame.header.type) {
       case MsgType::Ping: {
         static obs::Counter pings = serveCounter("serve.requests.ping");
-        CAC_OBS_COUNT(pings, 1);
+        pings.add(1);
         sendFrame(fd, MsgType::Pong, 0, id, frame.payload);
         break;
       }
       case MsgType::Stats: {
         static obs::Counter stats =
             serveCounter("serve.requests.stats");
-        CAC_OBS_COUNT(stats, 1);
+        stats.add(1);
         sendFrame(fd, MsgType::Result, 0, id, statsPayload());
         break;
       }
       case MsgType::Shutdown: {
         static obs::Counter shutdowns =
             serveCounter("serve.requests.shutdown");
-        CAC_OBS_COUNT(shutdowns, 1);
+        shutdowns.add(1);
         sendFrame(fd, MsgType::Result, 0, id, "ok=1\n");
         // Wake wait(); the waiter performs the actual teardown (this
         // thread cannot join itself).
@@ -263,7 +269,7 @@ Server::handleFrame(int fd, const Frame &frame)
       default:
         return false; // unreachable: isRequestType() screened
     }
-    CAC_OBS_OBSERVE(request_us, nowMicros() - start_us);
+    request_us.observe(nowMicros() - start_us);
     return true;
 }
 
@@ -282,22 +288,20 @@ Server::handleAdvice(int fd, const Frame &frame)
         serveCounter("serve.errors.request");
 
     const std::uint32_t id = frame.header.requestId;
-    CAC_OBS_COUNT(
-        frame.header.type == MsgType::Analyze ? analyzes : recommends,
-        1);
+    (frame.header.type == MsgType::Analyze ? analyzes : recommends).add(1);
 
     std::map<std::string, std::string> kv;
     if (Error err = kvParse(frame.payload, kv)) {
         // The frame itself was well-formed, so the connection
         // survives a bad payload.
-        CAC_OBS_COUNT(request_errors, 1);
+        request_errors.add(1);
         sendError(fd, id, err);
         return;
     }
     AdvisorRequest request;
     if (Error err =
             parseAdvisorRequest(frame.header.type, kv, request)) {
-        CAC_OBS_COUNT(request_errors, 1);
+        request_errors.add(1);
         sendError(fd, id, err);
         return;
     }
@@ -308,7 +312,7 @@ Server::handleAdvice(int fd, const Frame &frame)
     std::string payload;
     if (memo_.get(key, payload)) {
         sendFrame(fd, MsgType::Result, kFlagMemoHit, id, payload);
-        CAC_OBS_COUNT(results, 1);
+        results.add(1);
         return;
     }
 
@@ -344,16 +348,16 @@ Server::handleAdvice(int fd, const Frame &frame)
         });
     } catch (const CacError &err) {
         if (err.err().code == ErrorCode::Saturated)
-            CAC_OBS_COUNT(saturations, 1);
+            saturations.add(1);
         else if (err.err().code == ErrorCode::Timeout)
-            CAC_OBS_COUNT(timeouts, 1);
+            timeouts.add(1);
         else
-            CAC_OBS_COUNT(request_errors, 1);
+            request_errors.add(1);
         sendError(fd, id, err.err());
         return;
     }
     sendFrame(fd, MsgType::Result, 0, id, payload);
-    CAC_OBS_COUNT(results, 1);
+    results.add(1);
 }
 
 Error
@@ -436,13 +440,16 @@ Server::stop()
     stopping_.store(true, std::memory_order_relaxed);
     lifecycleCv_.notify_all();
     admission_.stop();
-    if (listenFd_ >= 0) {
+    // Wake accept() with shutdown(), and close the fd only once the
+    // accept thread is joined: until then that thread still reads it.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     {
         // Unblock reads; each connection thread closes its own fd.
         std::lock_guard<std::mutex> lock(connMutex_);

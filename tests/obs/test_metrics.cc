@@ -1,12 +1,18 @@
 /**
  * @file
  * Tests for the metrics registry (obs/metrics.hh): the disabled
- * fast path, per-thread shard merging that is deterministic at 1, 4
- * and 8 worker threads, gauge max-merge, log2-histogram bucketing and
- * quantiles on known distributions, reset(), and the JSON rendering.
+ * fast path, totals that are deterministic at 1, 4 and 8 worker
+ * threads, gauge max-merge, log2-histogram bucketing and quantiles on
+ * known distributions, reset(), live snapshots taken while writers
+ * (and first-touch registrations) are in flight, and the JSON
+ * rendering.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -64,7 +70,7 @@ runSharded(unsigned threads)
     return reg.snapshot();
 }
 
-TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
+TEST(Metrics, TotalsAreDeterministicAcrossThreadCounts)
 {
     const MetricsSnapshot one = runSharded(1);
     EXPECT_EQ(one.counter("hits"), 64u * 63u / 2u);
@@ -82,6 +88,8 @@ TEST(Metrics, ShardMergeIsDeterministicAcrossThreadCounts)
         EXPECT_EQ(many.histograms[0].count, one.histograms[0].count);
         EXPECT_EQ(many.histograms[0].sum, one.histograms[0].sum);
         EXPECT_EQ(many.histograms[0].buckets, one.histograms[0].buckets);
+        EXPECT_EQ(metricsJson(many), metricsJson(one))
+            << threads << " threads";
     }
 }
 
@@ -137,7 +145,7 @@ TEST(Metrics, HistogramZeroBucket)
     EXPECT_EQ(snap.histograms[0].quantile(0.5), 0u);
 }
 
-TEST(Metrics, ResetZeroesEveryShard)
+TEST(Metrics, ResetZeroesEveryMetric)
 {
     Registry reg;
     reg.setEnabled(true);
@@ -148,6 +156,74 @@ TEST(Metrics, ResetZeroesEveryShard)
     EXPECT_EQ(snap.counter("c"), 0u);
     ASSERT_EQ(snap.histograms.size(), 1u);
     EXPECT_EQ(snap.histograms[0].count, 0u);
+}
+
+TEST(Metrics, LiveSnapshotsWhileWritersRun)
+{
+    Registry reg;
+    reg.setEnabled(true);
+    const Counter ops = reg.counter("ops");
+    const Gauge high = reg.gauge("high");
+    const Histogram lat = reg.histogram("lat");
+    constexpr unsigned kWriters = 8;
+    constexpr std::uint64_t kIters = 20000;
+
+    std::atomic<unsigned> finished{0};
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&, t] {
+            for (std::uint64_t i = 0; i < kIters; ++i) {
+                ops.add(1);
+                high.set(i);
+                lat.observe(i);
+                // First touch mid-run: registration races the reader.
+                if (i == kIters / 2) {
+                    reg.counter("late." + std::to_string(t)).add(1);
+                    reg.histogram("late.lat").observe(t);
+                }
+            }
+            finished.fetch_add(1);
+        });
+    }
+
+    // Successive live snapshots never see a counter go backwards, and
+    // a histogram's count never runs ahead of its buckets.
+    std::map<std::string, std::uint64_t> last;
+    bool monotone = true;
+    bool quantiles_bounded = true;
+    unsigned reads = 0;
+    do {
+        const MetricsSnapshot snap = reg.snapshot();
+        for (const auto &[name, value] : snap.counters) {
+            monotone = monotone && value >= last[name];
+            last[name] = value;
+        }
+        for (const HistSnapshot &hist : snap.histograms) {
+            quantiles_bounded =
+                quantiles_bounded
+                && hist.quantile(1.0)
+                       != std::numeric_limits<std::uint64_t>::max();
+        }
+        ++reads;
+    } while (finished.load() < kWriters);
+    for (std::thread &th : writers)
+        th.join();
+    EXPECT_TRUE(monotone);
+    EXPECT_TRUE(quantiles_bounded);
+    EXPECT_GT(reads, 0u);
+
+    const MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("ops"), kWriters * kIters);
+    for (unsigned t = 0; t < kWriters; ++t)
+        EXPECT_EQ(snap.counter("late." + std::to_string(t)), 1u);
+    ASSERT_EQ(snap.gauges.size(), 1u);
+    EXPECT_EQ(snap.gauges[0].second, kIters - 1);
+    ASSERT_EQ(snap.histograms.size(), 2u);
+    EXPECT_EQ(snap.histograms[0].name, "lat");
+    EXPECT_EQ(snap.histograms[0].count, kWriters * kIters);
+    EXPECT_EQ(snap.histograms[0].sum, kWriters * (kIters * (kIters - 1) / 2));
+    EXPECT_EQ(snap.histograms[1].name, "late.lat");
+    EXPECT_EQ(snap.histograms[1].count, kWriters);
 }
 
 TEST(Metrics, SameNameReturnsSameMetric)

@@ -2,11 +2,15 @@
  * @file
  * Tests for the span tracer (obs/trace_event.hh): the disabled fast
  * path, nesting invariants (a child span is always contained in its
- * parent, exactly — both ends read the same truncating clock), ring
- * capacity + drop accounting, multi-thread collection, and the Chrome
- * trace-event JSON document shape.
+ * parent, exactly — both ends read the same truncating clock), total
+ * capacity + drop accounting, multi-thread collection, drain() and
+ * dropped() while threads record, and the Chrome trace-event JSON
+ * document shape.
  */
 
+#include <atomic>
+#include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -33,11 +37,24 @@ TEST(Tracer, EnableResetsEarlierSpans)
     Tracer tracer;
     tracer.enable();
     tracer.record("t", "old", 0, 1);
-    tracer.enable(); // a new run: previous rings cleared
+    tracer.enable(); // a new run: previous spans cleared
     tracer.record("t", "new", 0, 1);
     const std::vector<TraceEvent> events = tracer.drain();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_STREQ(events[0].name, "new");
+}
+
+/**
+ * Spin until the tracer clock moves on. Spans opened on either side of
+ * the call get distinct start times; spans with identical start and
+ * end times have no defined drain() order.
+ */
+void
+waitForClockTick(const Tracer &tracer)
+{
+    const std::uint64_t now = tracer.nowUs();
+    while (tracer.nowUs() == now) {
+    }
 }
 
 TEST(Tracer, ScopedSpansNestExactly)
@@ -46,9 +63,11 @@ TEST(Tracer, ScopedSpansNestExactly)
     tracer.enable();
     {
         ScopedSpan outer("test", "outer");
+        waitForClockTick(tracer);
         {
             ScopedSpan inner("test", "inner", "detail-1");
         }
+        waitForClockTick(tracer);
         {
             ScopedSpan inner2("test", "inner2");
         }
@@ -74,10 +93,10 @@ TEST(Tracer, ScopedSpansNestExactly)
     EXPECT_LE(events[1].endUs, events[2].startUs);
 }
 
-TEST(Tracer, RingFullCountsDrops)
+TEST(Tracer, FullBufferCountsDrops)
 {
     Tracer tracer;
-    tracer.enable(/*ring_capacity=*/4);
+    tracer.enable(/*capacity=*/4);
     for (int i = 0; i < 10; ++i)
         tracer.record("t", "s", i, i + 1);
     EXPECT_EQ(tracer.drain().size(), 4u);
@@ -101,12 +120,45 @@ TEST(Tracer, ThreadsGetDistinctIds)
         th.join();
     const std::vector<TraceEvent> events = tracer.drain();
     ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(tracer.threadCount(), 4u);
-    std::vector<std::uint32_t> tids;
+    std::set<std::uint32_t> tids;
     for (const TraceEvent &e : events)
-        tids.push_back(e.tid);
-    std::sort(tids.begin(), tids.end());
-    EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end());
+        tids.insert(e.tid);
+    EXPECT_EQ(tids.size(), 4u);
+}
+
+TEST(Tracer, DrainWhileThreadsRecord)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kSpans = 2000;
+    constexpr std::size_t kCapacity = 5000; // total, not per thread
+    Tracer tracer;
+    tracer.enable(kCapacity);
+    std::atomic<unsigned> finished{0};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&tracer, &finished] {
+            for (unsigned i = 0; i < kSpans; ++i)
+                tracer.record("t", "worker", i, i + 1);
+            finished.fetch_add(1);
+        });
+    }
+    // Each live read sees a prefix of the run: kept + dropped only
+    // grows, and kept never exceeds the capacity.
+    std::uint64_t seen = 0;
+    bool growing = true;
+    do {
+        const std::uint64_t dropped = tracer.dropped();
+        const std::size_t kept = tracer.drain().size();
+        growing = growing && kept <= kCapacity && kept + dropped >= seen;
+        seen = kept + dropped;
+    } while (finished.load() < kThreads);
+    for (std::thread &th : pool)
+        th.join();
+    EXPECT_TRUE(growing);
+
+    const std::vector<TraceEvent> events = tracer.drain();
+    EXPECT_EQ(events.size(), kCapacity);
+    EXPECT_EQ(tracer.dropped(), kThreads * kSpans - kCapacity);
 }
 
 TEST(Tracer, ChromeJsonDocumentShape)
