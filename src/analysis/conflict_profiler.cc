@@ -208,8 +208,12 @@ ConflictProfiler::accessBatch(const std::uint64_t *addrs, std::size_t n,
 {
     for (std::size_t i = 0; i < n; ++i)
         observeOne(addrs[i]);
-    if (shadow_)
+    if (shadow_) {
+        // Direct batches must not reorder against gathered replay()
+        // runs, in the shadow as in the wrapped target.
+        shadow_gather_.flush(*shadow_);
         shadow_->accessBatch(addrs, n, is_write);
+    }
     inner_->accessBatch(addrs, n, is_write);
 }
 

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "analysis/conflict_analyzer.hh"
-#include "analysis/conflict_profiler.hh"
 #include "cache/fully_assoc.hh"
 #include "cache/set_assoc.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/sweep.hh"
 #include "index/factory.hh"
+#include "index/index_plan.hh"
 #include "obs/obs.hh"
 #include "index/ipoly.hh"
 #include "index/matrix_index.hh"
@@ -28,6 +29,95 @@ namespace
 
 /** Label of the shared fully-associative conflict reference. */
 const char *const kReferenceLabel = "(full-ref)";
+
+/**
+ * The distinct block addresses of a stream, each cut to its low
+ * @p key_bits bits: with key_bits the widest IndexPlan::inputBits() of
+ * the candidates, every way-0 index over the cut set equals the one over
+ * the full set, and memory is bounded by 2^key_bits entries instead of
+ * the stream's footprint. Keys of up to kBitmapBits bits (the default
+ * 14 input bits among them) live in a bitmap, wider ones in a hash set.
+ */
+class BlockKeys
+{
+  public:
+    explicit BlockKeys(unsigned key_bits)
+        : mask_(mask(key_bits)),
+          bitmap_(key_bits <= kBitmapBits ? std::size_t{1} << key_bits
+                                          : 0)
+    {
+    }
+
+    void insert(std::uint64_t block)
+    {
+        const std::uint64_t key = block & mask_;
+        if (bitmap_.empty())
+            set_.insert(key);
+        else
+            bitmap_[key] = true;
+    }
+
+    /** The distinct keys seen, in no particular order. */
+    std::vector<std::uint64_t> keys() const
+    {
+        std::vector<std::uint64_t> out(set_.begin(), set_.end());
+        for (std::size_t k = 0; k < bitmap_.size(); ++k) {
+            if (bitmap_[k])
+                out.push_back(k);
+        }
+        return out;
+    }
+
+  private:
+    static constexpr unsigned kBitmapBits = 24; ///< bitmap of 2 MiB
+    std::uint64_t mask_;
+    std::vector<bool> bitmap_;
+    std::unordered_set<std::uint64_t> set_;
+};
+
+/**
+ * The shared fully-associative reference cell, which also collects the
+ * stream's distinct block addresses into @p blocks: a candidate's
+ * way-0 occupancy is then one index evaluation per distinct block
+ * instead of one per access, on every workload form (addresses,
+ * in-memory trace, streamed trace file).
+ */
+class ReferenceTarget final : public CacheTarget
+{
+  public:
+    ReferenceTarget(const CacheGeometry &geometry, BlockKeys &blocks)
+        : CacheTarget(std::make_unique<FullyAssocCache>(
+              geometry.sizeBytes(), geometry.blockBytes())),
+          geometry_(geometry), blocks_(blocks)
+    {
+    }
+
+    void accessBatch(const std::uint64_t *addrs, std::size_t n,
+                     bool is_write) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            record(addrs[i]);
+        CacheTarget::accessBatch(addrs, n, is_write);
+    }
+
+    void replay(const TraceRecord *recs, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (isMemOp(recs[i].op))
+                record(recs[i].addr);
+        }
+        CacheTarget::replay(recs, n);
+    }
+
+  private:
+    void record(std::uint64_t addr)
+    {
+        blocks_.insert(geometry_.blockAddr(addr));
+    }
+
+    CacheGeometry geometry_;
+    BlockKeys &blocks_;
+};
 
 } // anonymous namespace
 
@@ -129,70 +219,48 @@ IndexSearch::runGrid(
 
     // Static analysis first, on the calling thread: predicted conflict
     // score, fan-in and the certificate come from GF(2) algebra alone.
+    // Each candidate's function and plan are kept for the occupancy
+    // count below.
     std::vector<SearchResult> results(candidates_.size());
+    std::vector<std::unique_ptr<IndexFn>> fns(candidates_.size());
+    std::vector<IndexPlan> plans(candidates_.size());
+    unsigned key_bits = 0;
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
         SearchResult &r = results[i];
         r.label = candidates_[i].label;
         r.kind = candidates_[i].kind;
         CAC_OBS_SPAN_D("search", "search.analyze", r.label);
-        const std::unique_ptr<IndexFn> fn = candidates_[i].make();
-        r.indexName = fn->name();
-        r.skewed = fn->isSkewed();
+        fns[i] = candidates_[i].make();
+        const IndexFn &fn = *fns[i];
+        r.indexName = fn.name();
+        r.skewed = fn.isSkewed();
+        plans[i] = compilePlan(fn);
+        key_bits = std::max(key_bits, plans[i].inputBits());
         const ConflictAnalysis analysis =
-            analyzeIndex(*fn, config_.inputBits);
+            analyzeIndex(fn, config_.inputBits);
         r.predictedScore = analysis.predictedConflictScore();
         r.strideFree = analysis.strideFreeCertificate();
         for (const WayConflictAnalysis &w : analysis.ways)
             r.maxFanIn = std::max(r.maxFanIn, w.maxFanIn);
     }
 
-    // Measured pass: every candidate as a profiled SetAssocCache next
-    // to one fully-associative reference, on the sweep thread pool.
+    // Measured pass: every candidate as a plain SetAssocCache next to
+    // one fully-associative reference, on the sweep thread pool. The
+    // reference cell (there is exactly one: one workload) also
+    // collects the distinct blocks for the occupancy count.
+    BlockKeys blocks(key_bits);
     SweepRunner sweep(config_.threads);
     if (config_.cellDeadlineMs > 0)
         sweep.setCellDeadline(config_.cellDeadlineMs);
-    sweep.addOrg(kReferenceLabel, [geometry] {
-        return std::make_unique<FullyAssocCache>(geometry.sizeBytes(),
-                                                 geometry.blockBytes());
+    sweep.addTarget(kReferenceLabel, [geometry, &blocks] {
+        return std::make_unique<ReferenceTarget>(geometry, blocks);
     });
     for (const IndexCandidate &candidate : candidates_) {
         const auto make = candidate.make;
-        sweep.addTarget(candidate.label, [geometry, make] {
-            // One IndexFn per cell: its compiled plan serves both the
-            // cache and the histogram decorator, and the function
-            // outlives the profiler inside the wrapped target.
-            std::unique_ptr<IndexFn> fn = make();
-            const IndexPlan plan = compilePlan(*fn);
-            auto target = std::make_unique<CacheTarget>(
-                std::make_unique<SetAssocCache>(geometry,
-                                                std::move(fn)));
-            // Histograms only: conflict attribution reuses the shared
-            // reference instead of one shadow per candidate.
-            ConflictProfiler::Options opt;
-            opt.shadow = false;
-            opt.pairs = false;
-            auto profiled = std::make_unique<ConflictProfiler>(
-                std::move(target), geometry, opt);
-            profiled->attachIndex(plan);
-            return profiled;
+        sweep.addOrg(candidate.label, [geometry, make] {
+            return std::make_unique<SetAssocCache>(geometry, make());
         });
     }
-
-    // Harvest per-candidate occupancy through the cell observer (runs
-    // on worker threads; the map is label-keyed and mutex-guarded).
-    std::mutex harvest_mutex;
-    std::unordered_map<std::string, std::uint64_t> occupied;
-    sweep.setCellObserver([&](const SweepCell &cell, SimTarget &target) {
-        auto *profiler = dynamic_cast<ConflictProfiler *>(&target);
-        if (profiler == nullptr)
-            return; // the reference cell
-        const ConflictProfile &profile = profiler->profile();
-        std::uint64_t sets = profile.perWay.empty()
-                                 ? 0
-                                 : profile.perWay[0].occupiedSets();
-        std::lock_guard<std::mutex> lock(harvest_mutex);
-        occupied[cell.org] = sets;
-    });
 
     add_workload(sweep);
     const std::vector<SweepCell> cells = sweep.run();
@@ -203,6 +271,7 @@ IndexSearch::runGrid(
     // count no candidate's conflict-miss delta means anything, so the
     // whole grid is reported failed with the reference's error.
     const bool reference_failed = cells[0].failed;
+    const std::vector<std::uint64_t> keys = blocks.keys();
 
     for (std::size_t i = 0; i < candidates_.size(); ++i) {
         SearchResult &r = results[i];
@@ -222,8 +291,14 @@ IndexSearch::runGrid(
                 ? 100.0 * static_cast<double>(r.conflictMisses)
                       / static_cast<double>(stats.accesses())
                 : 0.0;
-        auto it = occupied.find(r.label);
-        r.way0OccupiedSets = it != occupied.end() ? it->second : 0;
+        // Way-0 occupancy: the sets way 0 maps at least one of the
+        // stream's blocks to (what a ConflictProfiler histogram with
+        // this candidate's plan would count as occupied).
+        std::vector<bool> occupied(geometry.numSets(), false);
+        for (std::uint64_t key : keys)
+            occupied[plans[i].indexOne(key, 0)] = true;
+        r.way0OccupiedSets = static_cast<std::uint64_t>(
+            std::count(occupied.begin(), occupied.end(), true));
     }
 
     // Rank: measured conflicts first, predictions break ties, cheaper

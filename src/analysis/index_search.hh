@@ -11,6 +11,18 @@
  * SetAssocCache on the SweepRunner thread pool next to one shared
  * fully-associative reference of the same capacity.
  *
+ * The measured pass: each candidate cell is a plain CacheTarget, so a
+ * trace reaches the candidate's batch path as mixed-kind runs (loads
+ * and stores in stream order, up to 4096 per run) with no per-access
+ * observer. The reference cell also collects the stream's distinct
+ * block addresses once per run, each cut to the low bits the widest
+ * candidate plan reads (IndexPlan::inputBits()); a candidate's way-0
+ * occupancy is its way-0 index evaluated over that set — the count a
+ * ConflictProfiler histogram with the candidate's plan would report, on
+ * every entry point (addresses, Trace, streamed trace file). The set's
+ * memory is bounded by 2 to the power of that width (a 2 KiB bitmap at
+ * the default 14 input bits), not by the trace's footprint.
+ *
  * Ranking combines all three quantities the hardware designer trades
  * off: *measured* conflict misses (candidate misses beyond the
  * fully-associative reference's), the analyzer's *predicted* conflict

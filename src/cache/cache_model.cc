@@ -1,5 +1,7 @@
 #include "cache/cache_model.hh"
 
+#include <array>
+
 namespace cac
 {
 
@@ -7,12 +9,31 @@ CacheModel::CacheModel(const CacheGeometry &geometry) : geometry_(geometry)
 {
 }
 
+const std::uint8_t *
+sameKindFlags(bool is_write)
+{
+    static const std::array<std::uint8_t, kMaxRun> kLoads{};
+    static const std::array<std::uint8_t, kMaxRun> kStores = [] {
+        std::array<std::uint8_t, kMaxRun> flags;
+        flags.fill(1);
+        return flags;
+    }();
+    return is_write ? kStores.data() : kLoads.data();
+}
+
+void
+CacheModel::accessRun(const std::uint64_t *addrs,
+                      const std::uint8_t *writes, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        access(addrs[i], writes[i] != 0);
+}
+
 void
 CacheModel::accessBatch(const std::uint64_t *addrs, std::size_t n,
                         bool is_write)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        access(addrs[i], is_write);
+    accessSameKind(*this, addrs, n, is_write);
 }
 
 namespace

@@ -81,6 +81,37 @@ struct AccessResult
 };
 
 /**
+ * The engine's batch unit: the most accesses one accessRun() call is
+ * handed by the engine (MemRunGatherer's run size, accessSameKind()'s
+ * chunk size).
+ */
+constexpr std::size_t kMaxRun = 4096;
+
+/**
+ * kMaxRun write flags, all 1 when @p is_write and all 0
+ * otherwise: the flag array a same-kind batch passes to a mixed-kind
+ * accessRun() body.
+ */
+const std::uint8_t *sameKindFlags(bool is_write);
+
+/**
+ * Feed @p n same-kind accesses to @p sink's mixed-kind body,
+ * sink.accessRun(addrs, writes, n), in chunks of kMaxRun: the
+ * one same-kind wrapper shared by CacheModel::accessBatch() and the
+ * address-workload entry points of the hierarchy and multicore
+ * targets.
+ */
+template <typename Sink>
+void
+accessSameKind(Sink &sink, const std::uint64_t *addrs, std::size_t n,
+               bool is_write)
+{
+    const std::uint8_t *writes = sameKindFlags(is_write);
+    for (std::size_t i = 0; i < n; i += kMaxRun)
+        sink.accessRun(addrs + i, writes, n - i < kMaxRun ? n - i : kMaxRun);
+}
+
+/**
  * Abstract functional cache. Addresses are byte addresses; models mask
  * out the block offset internally.
  */
@@ -99,20 +130,29 @@ class CacheModel
     virtual AccessResult access(std::uint64_t addr, bool is_write) = 0;
 
     /**
-     * Perform @p n same-kind accesses in order, updating contents and
-     * statistics exactly as n access() calls would (the batch path is
-     * required to be stats-identical to the scalar path).
+     * Perform @p n accesses in order, loads and stores mixed, updating
+     * contents and statistics exactly as n access() calls would (the
+     * batch path is required to be stats-identical to the scalar
+     * path). This is the engine's batch unit: MemRunGatherer hands a
+     * whole run of an instruction stream here in stream order.
      *
      * Organizations override this with a tight non-virtual inner loop,
      * so a driver pays one virtual dispatch per batch instead of one
      * per access. The base implementation falls back to access().
      *
      * @param addrs byte addresses, accessed in array order.
+     * @param writes one flag per access: nonzero = store, 0 = load.
      * @param n number of accesses.
-     * @param is_write all stores when true, all loads when false.
      */
-    virtual void accessBatch(const std::uint64_t *addrs, std::size_t n,
-                             bool is_write);
+    virtual void accessRun(const std::uint64_t *addrs,
+                           const std::uint8_t *writes, std::size_t n);
+
+    /**
+     * @p n same-kind accesses (all stores when @p is_write, all loads
+     * otherwise): accessSameKind() over accessRun().
+     */
+    void accessBatch(const std::uint64_t *addrs, std::size_t n,
+                     bool is_write);
 
     /** Hit check without any state or statistics update. */
     virtual bool probe(std::uint64_t addr) const = 0;

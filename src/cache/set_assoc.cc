@@ -91,13 +91,13 @@ SetAssocCache::access(std::uint64_t addr, bool is_write)
 }
 
 void
-SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                           bool is_write)
+SetAssocCache::accessRun(const std::uint64_t *addrs,
+                         const std::uint8_t *writes, std::size_t n)
 {
     ensurePlan();
     if (!plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], is_write);
+            accessOne(addrs[i], writes[i] != 0);
         return;
     }
     // Tile the stream: one SIMD/SWAR index pass per tile, then the
@@ -108,24 +108,29 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
     const unsigned ways = geometry_.ways();
     for (std::size_t base = 0; base < n; base += kTile) {
         const std::size_t m = n - base < kTile ? n - base : kTile;
+        const std::uint8_t *tile_writes = writes + base;
         for (std::size_t i = 0; i < m; ++i)
             blocks[i] = geometry_.blockAddr(addrs[base + i]);
         plan_.indexPackedBatch(blocks, m, packed);
         if (!repl_plain_lru_) {
             for (std::size_t i = 0; i < m; ++i)
-                accessPacked(blocks[i], packed[i], is_write);
+                accessPacked(blocks[i], packed[i], tile_writes[i] != 0);
             continue;
         }
         // Plain-LRU hit fast path with the access counters hoisted
         // into registers (the compiler cannot do it: every line store
         // may alias the members). Misses sync tick_ and drop to the
         // shared fill path; the counter totals are order-independent,
-        // so bulk-adding loads/stores up front is stats-identical to
-        // accessPacked()'s per-access increments.
-        if (is_write)
-            stats_.stores += m;
-        else
-            stats_.loads += m;
+        // so bulk-adding the tile's loads/stores up front is
+        // stats-identical to accessPacked()'s per-access increments.
+        // Any nonzero flag is a store; with write-back off (hoisted
+        // for the same aliasing reason) a hit never reads its flag.
+        std::size_t stores = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            stores += tile_writes[i] != 0;
+        stats_.stores += stores;
+        stats_.loads += m - stores;
+        const bool write_back = write_back_;
         std::uint64_t tick = tick_;
         for (std::size_t i = 0; i < m; ++i) {
             ++tick;
@@ -141,11 +146,12 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
             }
             if (hit) {
                 hit->repl.lastTouch = tick;
-                if (is_write && write_back_)
+                if (write_back && tile_writes[i] != 0)
                     hit->dirty = true;
                 continue;
             }
             tick_ = tick; // fillPacked stamps new lines from tick_
+            const bool is_write = tile_writes[i] != 0;
             if (is_write) {
                 ++stats_.storeMisses;
                 if (write_allocate_ == WriteAllocate::No)
@@ -153,7 +159,7 @@ SetAssocCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
             } else {
                 ++stats_.loadMisses;
             }
-            fillPacked(block, packed[i], is_write && write_back_);
+            fillPacked(block, packed[i], is_write && write_back);
         }
         tick_ = tick;
     }

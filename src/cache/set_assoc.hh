@@ -56,8 +56,8 @@ class SetAssocCache : public CacheModel
                   bool write_back = false);
 
     AccessResult access(std::uint64_t addr, bool is_write) override;
-    void accessBatch(const std::uint64_t *addrs, std::size_t n,
-                     bool is_write) override;
+    void accessRun(const std::uint64_t *addrs, const std::uint8_t *writes,
+                   std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;

@@ -47,15 +47,15 @@ TwoProbeCache::access(std::uint64_t addr, bool is_write)
 }
 
 void
-TwoProbeCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                           bool is_write)
+TwoProbeCache::accessRun(const std::uint64_t *addrs,
+                         const std::uint8_t *writes, std::size_t n)
 {
     // The polynomial plan is batch-capable for every registry
     // configuration (one way always packs); the Callback plan the test
     // hook forces is the only exception.
     if (rehash_ == RehashKind::IPoly && !poly_plan_.packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            accessOne(addrs[i], is_write);
+            accessOne(addrs[i], writes[i] != 0);
         return;
     }
 
@@ -77,7 +77,7 @@ TwoProbeCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
         }
         for (std::size_t i = 0; i < m; ++i)
             accessIndexed(blocks[i], blocks[i] & set_mask, second[i],
-                          is_write);
+                          writes[base + i] != 0);
     }
 }
 

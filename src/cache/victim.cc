@@ -68,11 +68,11 @@ VictimCache::access(std::uint64_t addr, bool is_write)
 }
 
 void
-VictimCache::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                         bool is_write)
+VictimCache::accessRun(const std::uint64_t *addrs,
+                       const std::uint8_t *writes, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        accessOne(addrs[i], is_write);
+        accessOne(addrs[i], writes[i] != 0);
 }
 
 AccessResult

@@ -29,8 +29,8 @@ class VictimCache : public CacheModel
                 bool write_allocate = true);
 
     AccessResult access(std::uint64_t addr, bool is_write) override;
-    void accessBatch(const std::uint64_t *addrs, std::size_t n,
-                     bool is_write) override;
+    void accessRun(const std::uint64_t *addrs, const std::uint8_t *writes,
+                   std::size_t n) override;
     bool probe(std::uint64_t addr) const override;
     bool invalidate(std::uint64_t addr) override;
     void flush() override;

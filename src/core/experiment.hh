@@ -27,22 +27,22 @@ CacheStats runAddressStream(CacheModel &cache,
                             const std::vector<std::uint64_t> &addrs);
 
 /**
- * Gathers runs of same-kind memory operations from an instruction
- * stream so a sink sees one accessBatch() per run instead of one
- * virtual access() per record. Restartable: replay() may be called
- * with consecutive stream chunks (the partially-gathered run carries
- * over), so the single batching rule serves both whole-trace replay
- * (runTraceMemory) and chunked streaming (CacheTarget). The sink is
- * anything with an accessBatch(addrs, n, is_write) member — a
- * CacheModel or the two-level hierarchy.
+ * Gathers the memory operations of an instruction stream into runs of
+ * up to kMaxRun (cache_model.hh) accesses, loads and stores mixed in
+ * stream order with one write flag each, so a sink sees one
+ * accessRun() per run instead of one virtual access() per record. Restartable: replay() may be
+ * called with consecutive stream chunks (the partially-gathered run
+ * carries over), so the single batching rule serves both whole-trace
+ * replay (runTraceMemory) and chunked streaming (CacheTarget). The
+ * sink is anything with an accessRun(addrs, writes, n) member — a
+ * CacheModel, the two-level hierarchy or the coherent system. Whoever
+ * owns a gatherer flushes it before anything else touches the sink
+ * (a direct batch, a checkpoint, a cold flush, the end of the stream).
  */
 class MemRunGatherer
 {
   public:
-    /** Batch size of the gathered runs (the engine's hot-path unit). */
-    static constexpr std::size_t kMaxRun = 4096;
-
-    MemRunGatherer() { run_.reserve(kMaxRun); }
+    MemRunGatherer() : addrs_(kMaxRun), writes_(kMaxRun) {}
 
     /** Feed the memory operations of @p recs[0..n) into @p sink. */
     template <typename Sink>
@@ -55,12 +55,11 @@ class MemRunGatherer
             const TraceRecord &rec = recs[i];
             if (!isMemOp(rec.op))
                 continue;
-            const bool is_write = rec.op == OpClass::Store;
-            if (is_write != run_is_write_ || run_.size() == kMaxRun) {
+            if (size_ == kMaxRun)
                 flush(sink);
-                run_is_write_ = is_write;
-            }
-            run_.push_back(rec.addr);
+            addrs_[size_] = rec.addr;
+            writes_[size_] = rec.op == OpClass::Store;
+            ++size_;
         }
     }
 
@@ -69,15 +68,16 @@ class MemRunGatherer
     void
     flush(Sink &sink)
     {
-        if (!run_.empty()) {
-            sink.accessBatch(run_.data(), run_.size(), run_is_write_);
-            run_.clear();
+        if (size_ != 0) {
+            sink.accessRun(addrs_.data(), writes_.data(), size_);
+            size_ = 0;
         }
     }
 
   private:
-    std::vector<std::uint64_t> run_;
-    bool run_is_write_ = false;
+    std::vector<std::uint64_t> addrs_;
+    std::vector<std::uint8_t> writes_;
+    std::size_t size_ = 0; ///< accesses gathered, pending a flush
 };
 
 /** Outcome of one measureThroughput() run. */

@@ -14,9 +14,6 @@ namespace cac
 namespace
 {
 
-/** Run size for synthesized record batches (the engine's unit). */
-constexpr std::size_t kMaxRun = MemRunGatherer::kMaxRun;
-
 constexpr const char *k2lvlPrefix = "2lvl:";
 constexpr const char *kCpuPrefix = "cpu:";
 constexpr const char *kMcPrefix = "mc:";
@@ -228,13 +225,13 @@ HierarchyTarget::accessBatch(const std::uint64_t *addrs, std::size_t n,
                              bool is_write)
 {
     gather_.flush(*hierarchy_);
-    hierarchy_->accessBatch(addrs, n, is_write);
+    accessSameKind(*hierarchy_, addrs, n, is_write);
 }
 
 void
 HierarchyTarget::replay(const TraceRecord *recs, std::size_t n)
 {
-    // Same-kind runs reach the hierarchy's batch path, which
+    // Gathered runs reach the hierarchy's batch path, which
     // precomputes the L1 index words for a whole tile per pass.
     gather_.replay(*hierarchy_, recs, n);
 }

@@ -15,13 +15,18 @@
  *    Tables 2-3), built on OooCore's streaming feed() interface.
  *
  * Targets consume workloads through two entry points: accessBatch()
- * for raw same-kind address runs (stride/random streams) and replay()
- * for instruction-trace chunks — both may be called repeatedly with
- * consecutive pieces of one stream, which is what lets the engine feed
- * traces from disk chunk-by-chunk (trace/io.hh TraceReader) without
- * materializing them. finish() flushes whatever the target still has
- * in flight (gathered runs, in-flight instructions); stats() then
- * returns the unified TargetStats row.
+ * for raw address streams of one kind (stride/random streams) and
+ * replay() for instruction-trace chunks — both may be called
+ * repeatedly with consecutive pieces of one stream, which is what lets
+ * the engine feed traces from disk chunk-by-chunk (trace/io.hh
+ * TraceReader) without materializing them. replay() gathers memory
+ * operations into mixed-kind runs (MemRunGatherer: loads and stores in
+ * stream order, one write flag each); a pending run is flushed at
+ * checkpoint(), flushPrimary() and finish(), and before a direct
+ * accessBatch(), so the model always sees stream order. finish()
+ * flushes whatever the target still has in flight (gathered runs,
+ * in-flight instructions); stats() then returns the unified
+ * TargetStats row.
  *
  * Labels: OrgRegistry::buildTarget() resolves the extended grammar
  * ("a2-Hp-Sk", "2lvl:a2-Hp-Sk/a4", "cpu:8k-ipoly-cp",
@@ -124,8 +129,10 @@ class SimTarget
     virtual TargetKind kind() const = 0;
 
     /**
-     * Consume @p n same-kind accesses (the address-stream workload
-     * form). May be called repeatedly with consecutive runs.
+     * Consume @p n accesses, all stores when @p is_write and all loads
+     * otherwise (the address-stream workload form). May be called
+     * repeatedly with consecutive runs, interleaved with replay();
+     * targets flush a pending gathered run first.
      */
     virtual void accessBatch(const std::uint64_t *addrs, std::size_t n,
                              bool is_write) = 0;
@@ -183,7 +190,7 @@ class CacheTarget : public SimTarget
 
   private:
     std::unique_ptr<CacheModel> model_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
+    /** Mixed-kind run gathering, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };
 
@@ -204,12 +211,13 @@ class HierarchyTarget : public SimTarget
     void flushPrimary() override;
     TargetStats stats() const override;
 
+    TwoLevelHierarchy &hierarchy() { return *hierarchy_; }
     const TwoLevelHierarchy &hierarchy() const { return *hierarchy_; }
 
   private:
     std::string name_;
     std::unique_ptr<TwoLevelHierarchy> hierarchy_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
+    /** Mixed-kind run gathering, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };
 

@@ -62,12 +62,12 @@ TwoLevelHierarchy::access(std::uint64_t vaddr, bool is_write)
 }
 
 void
-TwoLevelHierarchy::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
-                               bool is_write)
+TwoLevelHierarchy::accessRun(const std::uint64_t *vaddrs,
+                             const std::uint8_t *writes, std::size_t n)
 {
     if (l1_sa_ == nullptr || !l1_sa_->indexPlan().packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            access(vaddrs[i], is_write);
+            access(vaddrs[i], writes[i] != 0);
         return;
     }
     // L1 hits — the overwhelming majority — cost one precomputed-index
@@ -82,6 +82,7 @@ TwoLevelHierarchy::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
             blocks[i] = l1_->geometry().blockAddr(vaddrs[base + i]);
         plan.indexPackedBatch(blocks, m, packed);
         for (std::size_t i = 0; i < m; ++i) {
+            const bool is_write = writes[base + i] != 0;
             const AccessResult r =
                 l1_sa_->accessPacked(blocks[i], packed[i], is_write);
             if (!r.hit)

@@ -96,13 +96,14 @@ class TwoLevelHierarchy
     bool access(std::uint64_t vaddr, bool is_write);
 
     /**
-     * @p n same-kind references in order, identical in outcome to n
-     * access() calls. When L1 is a SetAssocCache with a batch-capable
+     * @p n references in order, loads and stores mixed (@p writes: one
+     * flag per reference, nonzero = store, 0 = load), identical in outcome to
+     * n access() calls. When L1 is a SetAssocCache with a batch-capable
      * plan, the L1 index words for a whole tile are precomputed in one
      * SIMD pass and only misses fall into the slow bookkeeping path.
      */
-    void accessBatch(const std::uint64_t *vaddrs, std::size_t n,
-                     bool is_write);
+    void accessRun(const std::uint64_t *vaddrs, const std::uint8_t *writes,
+                   std::size_t n);
 
     /**
      * External coherence invalidation, physically addressed (snooped at

@@ -106,6 +106,13 @@ class IndexPlan
     unsigned numWays() const { return num_ways_; }
 
     /**
+     * Low-order block-address bits the plan reads: every index is a
+     * function of block_addr & mask(inputBits()). Callback plans report
+     * 64 (the wrapped function may read any bit).
+     */
+    unsigned inputBits() const { return input_bits_; }
+
+    /**
      * True when every way maps a block to the same set (non-skewed):
      * callers may evaluate way 0 once and reuse it.
      */

@@ -129,31 +129,32 @@ CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
 }
 
 void
-CoherentSystem::accessBatch(const std::uint64_t *vaddrs, std::size_t n,
-                            bool is_write)
+CoherentSystem::accessRun(const std::uint64_t *vaddrs,
+                          const std::uint8_t *writes, std::size_t n)
 {
-    // Demultiplex into maximal same-core runs: within a scenario
-    // quantum every address belongs to one program (one ASID window,
-    // one core), so runs are long and the per-core fast path applies.
+    // Demultiplex into maximal same-core runs, kinds still mixed:
+    // within a scenario quantum every address belongs to one program
+    // (one ASID window, one core), so runs are long and the per-core
+    // fast path applies.
     std::size_t base = 0;
     while (base < n) {
         const unsigned core = coreFor(vaddrs[base]);
         std::size_t end = base + 1;
         while (end < n && coreFor(vaddrs[end]) == core)
             ++end;
-        coreBatch(core, vaddrs + base, end - base, is_write);
+        coreBatch(core, vaddrs + base, writes + base, end - base);
         base = end;
     }
 }
 
 void
 CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
-                          std::size_t n, bool is_write)
+                          const std::uint8_t *writes, std::size_t n)
 {
     SetAssocCache *sa = l1_sa_[core];
     if (sa == nullptr || !sa->indexPlan().packedCapable()) {
         for (std::size_t i = 0; i < n; ++i)
-            access(core, vaddrs[i], is_write);
+            access(core, vaddrs[i], writes[i] != 0);
         return;
     }
     // L1 hits — the overwhelming majority — cost one precomputed-index
@@ -170,6 +171,7 @@ CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
             blocks[i] = sa->geometry().blockAddr(vaddrs[base + i]);
         plan.indexPackedBatch(blocks, m, packed);
         for (std::size_t i = 0; i < m; ++i) {
+            const bool is_write = writes[base + i] != 0;
             const AccessResult r =
                 sa->accessPacked(blocks[i], packed[i], is_write);
             if (r.hit) {

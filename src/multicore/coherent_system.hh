@@ -115,7 +115,7 @@ void multiCoreStatsAccumulate(MultiCoreStats &into,
 /**
  * The coherent N-core two-level system. Construct with one L1 per
  * core (identical geometry) and the shared L2; drive it with
- * access()/accessBatch(); read per-core and aggregate stats back.
+ * access()/accessRun(); read per-core and aggregate stats back.
  */
 class CoherentSystem
 {
@@ -161,11 +161,13 @@ class CoherentSystem
     bool access(unsigned core, std::uint64_t vaddr, bool is_write);
 
     /**
-     * @p n same-kind references in stream order, demultiplexed onto
-     * cores by ASID window. Identical in outcome to n access() calls.
+     * @p n references in stream order, loads and stores mixed
+     * (@p writes: one flag per reference, nonzero = store, 0 = load),
+     * demultiplexed onto cores by ASID window. Identical in outcome to
+     * n access() calls.
      */
-    void accessBatch(const std::uint64_t *vaddrs, std::size_t n,
-                     bool is_write);
+    void accessRun(const std::uint64_t *vaddrs, const std::uint8_t *writes,
+                   std::size_t n);
 
     const CacheModel &l1(unsigned core) const { return *l1s_[core]; }
     const CacheModel &l2() const { return *l2_; }
@@ -222,7 +224,7 @@ class CoherentSystem
 
     /** Per-core batch with the packed-index fast path when possible. */
     void coreBatch(unsigned core, const std::uint64_t *vaddrs,
-                   std::size_t n, bool is_write);
+                   const std::uint8_t *writes, std::size_t n);
 
     std::vector<std::unique_ptr<CacheModel>> l1s_;
     /** l1s_[i] downcast when it is a SetAssocCache (batch fast path). */

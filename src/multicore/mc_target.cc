@@ -17,7 +17,7 @@ MultiCoreTarget::accessBatch(const std::uint64_t *addrs, std::size_t n,
                              bool is_write)
 {
     gather_.flush(*system_);
-    system_->accessBatch(addrs, n, is_write);
+    accessSameKind(*system_, addrs, n, is_write);
 }
 
 void

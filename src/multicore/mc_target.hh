@@ -47,7 +47,7 @@ class MultiCoreTarget : public SimTarget
   private:
     std::string name_;
     std::unique_ptr<CoherentSystem> system_;
-    /** Same-kind run gathering, restartable across replay() chunks. */
+    /** Mixed-kind run gathering, restartable across replay() chunks. */
     MemRunGatherer gather_;
 };
 

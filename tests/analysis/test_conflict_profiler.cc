@@ -7,11 +7,13 @@
  */
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/conflict_analyzer.hh"
 #include "analysis/conflict_profiler.hh"
+#include "cache/fully_assoc.hh"
 #include "cache/set_assoc.hh"
 #include "core/sim_target.hh"
 #include "index/factory.hh"
@@ -217,6 +219,40 @@ TEST(ConflictProfiler, ChunkedReplayEqualsOneBatch)
         EXPECT_EQ(a.perWay[w].accesses, b.perWay[w].accesses);
         EXPECT_EQ(a.perWay[w].accesses, c.perWay[w].accesses);
     }
+}
+
+TEST(ConflictProfiler, DirectBatchAfterReplayKeepsShadowInStreamOrder)
+{
+    // replay() leaves its gathered run pending; a direct accessBatch()
+    // that follows must not overtake it in the shadow. With a 2-block
+    // shadow, X Y Z X misses 4 times in stream order but only 3 times
+    // if the pending X lands after the batch.
+    const CacheGeometry geom(64, 32, 2);
+    const std::uint64_t x = 0, y = 32, z = 64;
+    ProfilerOptions opt;
+    opt.pairs = false;
+    ConflictProfiler profiled(
+        std::make_unique<CacheTarget>(
+            std::make_unique<FullyAssocCache>(64, 32)),
+        geom, opt);
+
+    Trace trace;
+    TraceBuilder builder(trace);
+    builder.load(x, reg::r(1), reg::r(30));
+    profiled.replay(trace.data(), trace.size());
+    const std::vector<std::uint64_t> batch = {y, z, x};
+    profiled.accessBatch(batch.data(), batch.size(), false);
+    profiled.finish();
+
+    FullyAssocCache in_order(64, 32);
+    for (std::uint64_t addr : {x, y, z, x})
+        in_order.access(addr, false);
+    ASSERT_EQ(in_order.stats().misses(), 4u);
+    const ConflictProfile &profile = profiled.profile();
+    EXPECT_EQ(profile.shadow.misses(), in_order.stats().misses());
+    EXPECT_EQ(profile.shadow.accesses(), 4u);
+    EXPECT_EQ(profile.target.misses(), in_order.stats().misses());
+    EXPECT_EQ(profile.conflictMisses(), 0u);
 }
 
 TEST(ConflictProfiler, OptionalPiecesCanBeDisabled)

@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +171,82 @@ TEST(IndexSearch, TopPickPredictionsMatchMeasuredProfiles)
                       analysis.ways[w].strides[k].distinctSets)
                 << "way " << w << " k=" << k;
         }
+    }
+}
+
+/**
+ * Every row's way0OccupiedSets must equal the way-0 histogram of a
+ * ConflictProfiler carrying that candidate's plan, driven by @p drive
+ * over the same stream.
+ */
+void
+expectOccupancyMatchesProfiler(
+    const IndexSearch &search, const SearchConfig &config,
+    const std::vector<SearchResult> &results,
+    const std::function<void(SimTarget &)> &drive)
+{
+    ASSERT_EQ(results.size(), search.candidates().size());
+    for (const IndexCandidate &candidate : search.candidates()) {
+        const SearchResult *row = findLabel(results, candidate.label);
+        ASSERT_NE(row, nullptr) << candidate.label;
+        ProfilerOptions opt;
+        opt.shadow = false;
+        opt.pairs = false;
+        ConflictProfiler profiled(
+            std::make_unique<CacheTarget>(std::make_unique<SetAssocCache>(
+                config.geometry, candidate.make())),
+            config.geometry, opt);
+        profiled.attachIndex(candidate.make());
+        drive(profiled);
+        profiled.finish();
+        const std::uint64_t sets =
+            profiled.profile().perWay[0].occupiedSets();
+        EXPECT_GT(sets, 0u) << candidate.label;
+        EXPECT_EQ(row->way0OccupiedSets, sets) << candidate.label;
+    }
+}
+
+TEST(IndexSearch, Way0OccupancyMatchesProfilerOnAddressesAndTrace)
+{
+    std::vector<std::uint64_t> addrs;
+    for (const TraceRecord &rec : *proxyTrace()) {
+        if (isMemOp(rec.op))
+            addrs.push_back(rec.addr);
+    }
+    const auto trace = proxyTrace();
+
+    // 14 input bits keep the search's block keys in a bitmap, 32 in a
+    // hash set; both must count exactly what the profiler counts.
+    for (unsigned input_bits : {14u, 32u}) {
+        SCOPED_TRACE(input_bits);
+        SearchConfig config = testConfig(2);
+        config.inputBits = input_bits;
+        config.polyStarts = 4;
+        config.randomSeeds = 2;
+        const IndexSearch search(config);
+
+        // Addresses: the proxy's memory addresses as a load-only stream.
+        expectOccupancyMatchesProfiler(
+            search, config, search.run(addrs), [&](SimTarget &target) {
+                target.accessBatch(addrs.data(), addrs.size(), false);
+            });
+
+        // Trace: the proxy itself, loads and stores mixed.
+        expectOccupancyMatchesProfiler(
+            search, config, search.run(trace), [&](SimTarget &target) {
+                target.replay(trace->data(), trace->size());
+            });
+
+        // A 4 KiB-stride sweep over 1 MiB: few enough blocks that
+        // occupancy stays partial and turns on every input bit the
+        // hashing candidates read.
+        std::vector<std::uint64_t> strided;
+        for (std::uint64_t i = 0; i < 256; ++i)
+            strided.push_back((std::uint64_t{1} << 30) + i * 4096);
+        expectOccupancyMatchesProfiler(
+            search, config, search.run(strided), [&](SimTarget &target) {
+                target.accessBatch(strided.data(), strided.size(), false);
+            });
     }
 }
 
