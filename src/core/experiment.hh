@@ -89,9 +89,8 @@ struct ThroughputResult
 };
 
 /**
- * The shared timing methodology of bench/perf_engine and
- * `cac_sim --bench` (their numbers must stay comparable): run @p body
- * once untimed as warm-up, then repeat it until @p min_seconds of
+ * The timing methodology of `cac_sim --bench`: run @p body once
+ * untimed as warm-up, then repeat it until @p min_seconds of
  * wall-clock time elapse. @p body returns the number of units
  * (accesses) it performed that repetition.
  */

@@ -21,11 +21,7 @@
  * costs one relaxed atomic load while telemetry is disabled at runtime
  * (the default). Because every site fires at boundary rate, the
  * enabled path can afford a shared atomic add per update and one
- * uncontended lock per span. bench/perf_engine's schema-8
- * "observability" section measures both prices and
- * tools/check_perf.py gates them
- * (disabled >= 0.97x, metrics+windows enabled >= 0.90x of the plain
- * scenario replay rate).
+ * uncontended lock per span.
  */
 
 #ifndef CAC_OBS_OBS_HH

@@ -29,7 +29,6 @@ Tracer::enable(std::size_t capacity)
         events_.clear();
         dropped_ = 0;
     }
-    origin_ = std::chrono::steady_clock::now();
     enabled_.store(true, std::memory_order_relaxed);
 }
 

@@ -69,9 +69,8 @@ class Tracer
     static Tracer &global();
 
     /**
-     * Start collecting. Resets the time origin to now; spans opened
-     * from here on are recorded, up to @p capacity in total. Spans
-     * recorded by earlier runs are cleared.
+     * Start collecting: spans closed from here on are recorded, up to
+     * @p capacity in total. Spans recorded by earlier runs are cleared.
      */
     void enable(std::size_t capacity = kDefaultCapacity);
 
@@ -84,7 +83,7 @@ class Tracer
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Microseconds since enable() on the tracer's monotonic clock. */
+    /** Microseconds since construction on the tracer's monotonic clock. */
     std::uint64_t nowUs() const;
 
     /** Append a completed span, or count it dropped when full. */
@@ -107,7 +106,7 @@ class Tracer
 
   private:
     std::atomic<bool> enabled_{false};
-    std::chrono::steady_clock::time_point origin_;
+    const std::chrono::steady_clock::time_point origin_;
     mutable std::mutex mutex_; ///< guards the three members below
     std::size_t capacity_ = kDefaultCapacity;
     std::vector<TraceEvent> events_;

@@ -3,12 +3,13 @@
  * Tests for the span tracer (obs/trace_event.hh): the disabled fast
  * path, nesting invariants (a child span is always contained in its
  * parent, exactly — both ends read the same truncating clock), total
- * capacity + drop accounting, multi-thread collection, drain() and
- * dropped() while threads record, and the Chrome trace-event JSON
- * document shape.
+ * capacity + drop accounting, multi-thread collection, drain(),
+ * dropped() and enable() while threads record, and the Chrome
+ * trace-event JSON document shape.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -93,6 +94,22 @@ TEST(Tracer, ScopedSpansNestExactly)
     EXPECT_LE(events[1].endUs, events[2].startUs);
 }
 
+TEST(Tracer, SpanOpenAcrossEnableEndsAfterItStarts)
+{
+    Tracer &tracer = Tracer::global();
+    tracer.enable();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+        ScopedSpan span("test", "open-across-enable");
+        tracer.enable(); // a second run starts while the span is open
+    }
+    const std::vector<TraceEvent> events = tracer.drain();
+    tracer.disable();
+    tracer.clear();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_GE(events[0].endUs, events[0].startUs);
+}
+
 TEST(Tracer, FullBufferCountsDrops)
 {
     Tracer tracer;
@@ -159,6 +176,36 @@ TEST(Tracer, DrainWhileThreadsRecord)
     const std::vector<TraceEvent> events = tracer.drain();
     EXPECT_EQ(events.size(), kCapacity);
     EXPECT_EQ(tracer.dropped(), kThreads * kSpans - kCapacity);
+}
+
+TEST(Tracer, EnableWhileThreadsRecord)
+{
+    Tracer tracer;
+    tracer.enable();
+    std::atomic<int> running{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < 2; ++t) {
+        pool.emplace_back([&tracer, &running, &stop] {
+            running.fetch_add(1);
+            while (!stop.load()) {
+                const std::uint64_t start = tracer.nowUs();
+                waitForClockTick(tracer);
+                tracer.record("t", "worker", start, tracer.nowUs());
+            }
+        });
+    }
+    while (running.load() < 2) {
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until)
+        tracer.enable(/*capacity=*/64);
+    stop.store(true);
+    for (std::thread &th : pool)
+        th.join();
+    for (const TraceEvent &e : tracer.drain())
+        EXPECT_GE(e.endUs, e.startUs);
 }
 
 TEST(Tracer, ChromeJsonDocumentShape)

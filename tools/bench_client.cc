@@ -4,8 +4,7 @@
  *
  * Opens N concurrent connections, issues a request mix against a
  * running server, and reports throughput (requests/s) plus p50/p99
- * latency — the numbers the perf_engine `service` section and the CI
- * service-smoke lane are built on. Expectation flags turn it into an
+ * latency — the numbers the CI service-smoke lane is built on. Expectation flags turn it into an
  * assertion harness: --expect-memo-hit fails unless memoized results
  * both appear and are measurably faster than the cold computation,
  * --expect-saturated fails unless the server answered with a typed
