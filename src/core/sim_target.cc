@@ -73,6 +73,37 @@ splitMcLabel(const std::string &rest, unsigned &cores, std::string &l1,
 }
 
 /**
+ * A parsed two-level label: "2lvl:L1/L2" is one core reporting
+ * TargetKind::Hierarchy, "mc:CORESxL1/L2" is CORES cores reporting
+ * TargetKind::MultiCore.
+ */
+struct TwoLevelLabel
+{
+    TargetKind kind = TargetKind::Cache; ///< Cache: neither prefix
+    unsigned cores = 0;                  ///< 0: malformed payload
+    std::string l1;
+    std::string l2;
+};
+
+TwoLevelLabel
+parseTwoLevel(const std::string &label)
+{
+    TwoLevelLabel out;
+    std::string rest;
+    if (stripPrefix(label, k2lvlPrefix, rest)) {
+        out.kind = TargetKind::Hierarchy;
+        if (splitHierarchyLabels(rest, out.l1, out.l2))
+            out.cores = 1;
+    } else if (stripPrefix(label, kMcPrefix, rest)) {
+        out.kind = TargetKind::MultiCore;
+        unsigned cores = 0;
+        if (splitMcLabel(rest, cores, out.l1, out.l2))
+            out.cores = cores;
+    }
+    return out;
+}
+
+/**
  * Resolve a "cpu:" payload to a CpuConfig: either a Table-2
  * configuration name, or an associativity-family organization label
  * ("a2-Hp-Sk") applied to the spec's L1 geometry.
@@ -211,62 +242,6 @@ CacheTarget::stats() const
     return s;
 }
 
-// ---- HierarchyTarget -------------------------------------------------
-
-HierarchyTarget::HierarchyTarget(
-    std::string name, std::unique_ptr<TwoLevelHierarchy> hierarchy)
-    : name_(std::move(name)), hierarchy_(std::move(hierarchy))
-{
-    CAC_ASSERT(hierarchy_ != nullptr);
-}
-
-void
-HierarchyTarget::accessBatch(const std::uint64_t *addrs, std::size_t n,
-                             bool is_write)
-{
-    gather_.flush(*hierarchy_);
-    accessSameKind(*hierarchy_, addrs, n, is_write);
-}
-
-void
-HierarchyTarget::replay(const TraceRecord *recs, std::size_t n)
-{
-    // Gathered runs reach the hierarchy's batch path, which
-    // precomputes the L1 index words for a whole tile per pass.
-    gather_.replay(*hierarchy_, recs, n);
-}
-
-void
-HierarchyTarget::finish()
-{
-    gather_.flush(*hierarchy_);
-}
-
-void
-HierarchyTarget::checkpoint()
-{
-    gather_.flush(*hierarchy_);
-}
-
-void
-HierarchyTarget::flushPrimary()
-{
-    gather_.flush(*hierarchy_);
-    hierarchy_->flushL1();
-}
-
-TargetStats
-HierarchyTarget::stats() const
-{
-    TargetStats s;
-    s.kind = TargetKind::Hierarchy;
-    s.l1 = hierarchy_->l1().stats();
-    s.hasHierarchy = true;
-    s.l2 = hierarchy_->l2().stats();
-    s.holes = hierarchy_->holeStats();
-    return s;
-}
-
 // ---- CpuTarget -------------------------------------------------------
 
 CpuTarget::CpuTarget(std::string name, const CpuConfig &config)
@@ -335,20 +310,12 @@ CpuTarget::stats() const
 bool
 OrgRegistry::knownTarget(const std::string &label) const
 {
+    const TwoLevelLabel two = parseTwoLevel(label);
+    if (two.kind != TargetKind::Cache)
+        return two.cores > 0 && known(two.l1) && known(two.l2);
     std::string rest;
-    if (stripPrefix(label, k2lvlPrefix, rest)) {
-        std::string l1, l2;
-        return splitHierarchyLabels(rest, l1, l2) && known(l1)
-            && known(l2);
-    }
     if (stripPrefix(label, kCpuPrefix, rest))
         return cpuConfigFor(rest, TargetSpec{}).has_value();
-    if (stripPrefix(label, kMcPrefix, rest)) {
-        unsigned cores = 0;
-        std::string l1, l2;
-        return splitMcLabel(rest, cores, l1, l2) && known(l1)
-            && known(l2);
-    }
     return known(label);
 }
 
@@ -356,41 +323,55 @@ std::unique_ptr<SimTarget>
 OrgRegistry::buildTarget(const std::string &label,
                          const TargetSpec &spec) const
 {
-    std::string rest;
-    if (stripPrefix(label, k2lvlPrefix, rest)) {
-        std::string l1_label, l2_label;
-        if (!splitHierarchyLabels(rest, l1_label, l2_label)) {
+    const TwoLevelLabel two = parseTwoLevel(label);
+    if (two.kind != TargetKind::Cache) {
+        if (two.cores == 0 && two.kind == TargetKind::Hierarchy) {
             fatal("two-level target '%s' must have the form "
                   "2lvl:L1-LABEL/L2-LABEL",
                   label.c_str());
+        } else if (two.cores == 0) {
+            fatal("multicore target '%s' must have the form "
+                  "mc:CORESxL1-LABEL/L2-LABEL with 1 <= CORES <= %u",
+                  label.c_str(), kMaxCores);
         }
-        std::unique_ptr<CacheModel> l1 = build(l1_label, spec.org);
+        if (spec.l2Ways < 1)
+            fatal("two-level target '%s': l2Ways must be >= 1",
+                  label.c_str());
 
         OrgSpec l2_spec = spec.org;
         l2_spec.sizeBytes = spec.l2SizeBytes;
-        if (spec.l2Ways < 1)
-            fatal("2-level target '%s': l2Ways must be >= 1",
-                  label.c_str());
         l2_spec.ways = spec.l2Ways;
         // Hashed L2 indices need input bits that cover the (larger) L2
         // index plus some tag bits (the holes experiments' setBits + 6
         // convention). The label may encode its own associativity
         // ("a1-Hp") or imply one ("dm"), so probe the built geometry
         // for the real set count rather than trusting spec.l2Ways.
-        std::unique_ptr<CacheModel> l2 = build(l2_label, l2_spec);
+        std::unique_ptr<CacheModel> l2 = build(two.l2, l2_spec);
         l2_spec.hashBlockBits =
             std::max(spec.org.hashBlockBits,
                      l2->geometry().setBits() + 6);
-        l2 = build(l2_label, l2_spec);
+        l2 = build(two.l2, l2_spec);
 
-        const std::string display = l1->name() + " / " + l2->name();
-        auto hierarchy = std::make_unique<TwoLevelHierarchy>(
-            std::move(l1), std::move(l2),
+        // One private L1 per core, identical spec (and seed: every
+        // core's cache hashes addresses the same way, like real
+        // replicated arrays).
+        std::vector<std::unique_ptr<CacheModel>> l1s;
+        l1s.reserve(two.cores);
+        for (unsigned c = 0; c < two.cores; ++c)
+            l1s.push_back(build(two.l1, spec.org));
+
+        std::string display = l1s.front()->name() + " / " + l2->name();
+        if (two.kind == TargetKind::MultiCore)
+            display = std::to_string(two.cores) + "x " + display;
+        auto system = std::make_unique<CoherentSystem>(
+            std::move(l1s), std::move(l2),
             PageMap(spec.pageBytes, std::uint64_t{1} << 20,
-                    spec.pageSeed));
-        return std::make_unique<HierarchyTarget>(display,
-                                                 std::move(hierarchy));
+                    spec.pageSeed),
+            spec.mcWindowBytes);
+        return std::make_unique<MultiCoreTarget>(
+            display, std::move(system), two.kind);
     }
+    std::string rest;
     if (stripPrefix(label, kCpuPrefix, rest)) {
         const std::optional<CpuConfig> cfg = cpuConfigFor(rest, spec);
         if (!cfg) {
@@ -400,47 +381,6 @@ OrgRegistry::buildTarget(const std::string &label,
         }
         return std::make_unique<CpuTarget>("cpu " + cfg->toString(),
                                            *cfg);
-    }
-    if (stripPrefix(label, kMcPrefix, rest)) {
-        unsigned cores = 0;
-        std::string l1_label, l2_label;
-        if (!splitMcLabel(rest, cores, l1_label, l2_label)) {
-            fatal("multicore target '%s' must have the form "
-                  "mc:CORESxL1-LABEL/L2-LABEL with 1 <= CORES <= %u",
-                  label.c_str(), kMaxCores);
-        }
-
-        OrgSpec l2_spec = spec.org;
-        l2_spec.sizeBytes = spec.l2SizeBytes;
-        if (spec.l2Ways < 1)
-            fatal("multicore target '%s': l2Ways must be >= 1",
-                  label.c_str());
-        l2_spec.ways = spec.l2Ways;
-        // Same hashed-L2 index-width rule as the 2lvl: grammar (probe
-        // the built geometry, then rebuild with covering input bits).
-        std::unique_ptr<CacheModel> l2 = build(l2_label, l2_spec);
-        l2_spec.hashBlockBits =
-            std::max(spec.org.hashBlockBits,
-                     l2->geometry().setBits() + 6);
-        l2 = build(l2_label, l2_spec);
-
-        // One private L1 per core, identical spec (and seed: every
-        // core's cache hashes addresses the same way, like real
-        // replicated arrays).
-        std::vector<std::unique_ptr<CacheModel>> l1s;
-        l1s.reserve(cores);
-        for (unsigned c = 0; c < cores; ++c)
-            l1s.push_back(build(l1_label, spec.org));
-
-        const std::string display = std::to_string(cores) + "x "
-            + l1s.front()->name() + " / " + l2->name();
-        auto system = std::make_unique<CoherentSystem>(
-            std::move(l1s), std::move(l2),
-            PageMap(spec.pageBytes, std::uint64_t{1} << 20,
-                    spec.pageSeed),
-            spec.mcWindowBytes);
-        return std::make_unique<MultiCoreTarget>(display,
-                                                 std::move(system));
     }
     return std::make_unique<CacheTarget>(build(label, spec.org));
 }

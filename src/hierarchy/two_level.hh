@@ -1,7 +1,7 @@
 /**
  * @file
- * Two-level virtual-real cache hierarchy (Wang, Baer & Levy [25], as
- * adopted by the paper's sections 3.1-3.3).
+ * Hole statistics of the two-level virtual-real cache hierarchy (Wang,
+ * Baer & Levy [25], as adopted by the paper's sections 3.1-3.3).
  *
  * L1 is virtually indexed (exposing address bits beyond the page offset
  * to the I-Poly hash without translation delay); L2 is physically
@@ -11,21 +11,18 @@
  * invalidations, coincidences (invalidation target == incoming fill
  * slot) and holes, which the holes_model bench compares against the
  * analytic P_H.
+ *
+ * The hierarchy itself is multicore/coherent_system.hh's
+ * CoherentSystem: a `2lvl:L1/L2` target is that system with one core.
  */
 
 #ifndef CAC_HIERARCHY_TWO_LEVEL_HH
 #define CAC_HIERARCHY_TWO_LEVEL_HH
 
-#include <memory>
-#include <unordered_map>
-
-#include "cache/cache_model.hh"
-#include "hierarchy/page_map.hh"
+#include <cstdint>
 
 namespace cac
 {
-
-class SetAssocCache;
 
 /** Hole bookkeeping for the section 3.3 experiment. */
 struct HoleStats
@@ -69,89 +66,6 @@ HoleStats holeStatsDelta(const HoleStats &now, const HoleStats &then);
 
 /** into += delta, counter by counter. */
 void holeStatsAccumulate(HoleStats &into, const HoleStats &delta);
-
-/**
- * Virtually-indexed L1 over physically-indexed L2 with explicit
- * Inclusion.
- */
-class TwoLevelHierarchy
-{
-  public:
-    /**
-     * @param l1 first-level cache; accessed with *virtual* addresses.
-     * @param l2 second-level cache; accessed with *physical* addresses.
-     * @param page_map translation model.
-     */
-    TwoLevelHierarchy(std::unique_ptr<CacheModel> l1,
-                      std::unique_ptr<CacheModel> l2,
-                      PageMap page_map);
-
-    /**
-     * One reference from the processor.
-     *
-     * @param vaddr virtual byte address.
-     * @param is_write store when true.
-     * @return true when L1 hit.
-     */
-    bool access(std::uint64_t vaddr, bool is_write);
-
-    /**
-     * @p n references in order, loads and stores mixed (@p writes: one
-     * flag per reference, nonzero = store, 0 = load), identical in outcome to
-     * n access() calls. When L1 is a SetAssocCache with a batch-capable
-     * plan, the L1 index words for a whole tile are precomputed in one
-     * SIMD pass and only misses fall into the slow bookkeeping path.
-     */
-    void accessRun(const std::uint64_t *vaddrs, const std::uint8_t *writes,
-                   std::size_t n);
-
-    /**
-     * External coherence invalidation, physically addressed (snooped at
-     * L2 per the Inclusion argument of section 3.2, forwarded to L1 via
-     * the reverse map when present).
-     */
-    void externalInvalidate(std::uint64_t paddr);
-
-    const CacheModel &l1() const { return *l1_; }
-    const CacheModel &l2() const { return *l2_; }
-    const HoleStats &holeStats() const { return hole_stats_; }
-    PageMap &pageMap() { return page_map_; }
-
-    /**
-     * Flush the virtually-indexed L1 (and the reverse map and pending
-     * holes that describe its contents) — the context-switch cold
-     * start of a virtual cache without ASIDs. L2 is physically indexed
-     * and survives; Inclusion trivially holds on an empty L1.
-     */
-    void flushL1();
-
-    /**
-     * Verify Inclusion: every virtual block resident in L1 has its
-     * physical block resident in L2. O(tracked blocks); test hook.
-     */
-    bool checkInclusion() const;
-
-  private:
-    /** Everything access() does after an L1 miss. */
-    void missPath(std::uint64_t vaddr, bool is_write,
-                  const AccessResult &l1_result);
-
-    std::unique_ptr<CacheModel> l1_;
-    std::unique_ptr<CacheModel> l2_;
-    /** l1_ downcast when it is a SetAssocCache (batch fast path). */
-    SetAssocCache *l1_sa_ = nullptr;
-    PageMap page_map_;
-    HoleStats hole_stats_;
-    /**
-     * Reverse map: physical block -> virtual block currently cached at
-     * L1. The virtual-real protocol maintains exactly this association
-     * so physical invalidations can find virtual L1 lines without
-     * reverse translation hardware.
-     */
-    std::unordered_map<std::uint64_t, std::uint64_t> l1_contents_;
-    /** Virtual blocks invalidated by Inclusion, pending re-reference. */
-    std::unordered_map<std::uint64_t, bool> holes_;
-};
 
 } // namespace cac
 

@@ -18,6 +18,15 @@ constexpr std::uint64_t McCoreStats::*kMcCoreFields[] = {
     &McCoreStats::l2EvictionsByOthers,
     &McCoreStats::interCoreConflictMisses};
 
+/** A one-element L1 vector (unique_ptrs rule out a braced list). */
+std::vector<std::unique_ptr<CacheModel>>
+oneL1(std::unique_ptr<CacheModel> l1)
+{
+    std::vector<std::unique_ptr<CacheModel>> l1s;
+    l1s.push_back(std::move(l1));
+    return l1s;
+}
+
 } // anonymous namespace
 
 McCoreStats
@@ -114,6 +123,15 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
     holes_.resize(l1s_.size());
 }
 
+CoherentSystem::CoherentSystem(std::unique_ptr<CacheModel> l1,
+                               std::unique_ptr<CacheModel> l2,
+                               PageMap page_map)
+    // Any window routes every address to the only core.
+    : CoherentSystem(oneL1(std::move(l1)), std::move(l2),
+                     std::move(page_map), 1)
+{
+}
+
 bool
 CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
 {
@@ -132,6 +150,10 @@ void
 CoherentSystem::accessRun(const std::uint64_t *vaddrs,
                           const std::uint8_t *writes, std::size_t n)
 {
+    if (l1s_.size() == 1) {
+        coreBatch(0, vaddrs, writes, n);
+        return;
+    }
     // Demultiplex into maximal same-core runs, kinds still mixed:
     // within a scenario quantum every address belongs to one program
     // (one ASID window, one core), so runs are long and the per-core
@@ -230,9 +252,8 @@ void
 CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                          const AccessResult &l1_result)
 {
-    // This follows TwoLevelHierarchy::missPath step for step; every
-    // coherence insertion is guarded so a 1-core system is
-    // statistically bit-identical to the plain hierarchy.
+    // Every coherence step is guarded by `multi`, so a 1-core system
+    // runs the plain two-level protocol.
     CacheModel &l1 = *l1s_[core];
     auto &contents = l1_contents_[core];
     McCoreStats &cs = mc_.cores[core];
@@ -453,6 +474,23 @@ CoherentSystem::checkInclusion() const
         }
     }
     return true;
+}
+
+void
+CoherentSystem::externalInvalidate(std::uint64_t paddr)
+{
+    l2_->invalidate(paddr);
+    const std::uint64_t pblock = l2_->geometry().blockAddr(paddr);
+    for (unsigned c = 0; c < l1s_.size(); ++c) {
+        ++mc_.cores[c].holes.externalInvalidates;
+        auto it = l1_contents_[c].find(pblock);
+        if (it == l1_contents_[c].end())
+            continue;
+        l1s_[c]->invalidate(l1s_[c]->geometry().byteAddr(it->second));
+        l1_contents_[c].erase(it);
+    }
+    owner_.erase(pblock);
+    l2_filler_.erase(pblock);
 }
 
 void

@@ -1,16 +1,16 @@
 /**
  * @file
- * N-core coherent shared-cache system: per-core private virtually
- * indexed L1s (any registry organization, so skewed/I-Poly L1s work
- * unchanged) over one shared physically indexed L2, joined by a
- * MESI-lite coherence layer.
+ * The two-level virtual-real hierarchy of the paper's sections 3.1-3.3
+ * (Wang, Baer & Levy [25]), for one core or N: per-core private
+ * virtually indexed L1s (any registry organization, so skewed/I-Poly
+ * L1s work unchanged) over one shared physically indexed L2, joined by
+ * a MESI-lite coherence layer.
  *
- * The single-core data path is *exactly* TwoLevelHierarchy's
- * virtual-real protocol (Inclusion with back-invalidation holes, the
- * one-alias rule, write-back of dirty L1 victims) generalized to a
- * vector of cores; with one core every coherence step is a no-op and
- * the statistics are bit-identical to `2lvl:` — the differential test
- * suite pins this. With more cores the layer adds:
+ * Each core's data path is the virtual-real protocol: Inclusion with
+ * back-invalidation holes, the one-alias rule, write-back of dirty L1
+ * victims. With one core every coherence step is skipped, and the
+ * system *is* the plain two-level hierarchy: the registry builds
+ * `2lvl:L1/L2` as a one-core system. With more cores the layer adds:
  *
  *  - M/S/I line states. A store installs the line Modified in the
  *    writer's L1 after invalidating every other copy
@@ -139,6 +139,10 @@ class CoherentSystem
                    std::unique_ptr<CacheModel> l2, PageMap page_map,
                    std::uint64_t window_bytes);
 
+    /** One core: the plain two-level hierarchy. */
+    CoherentSystem(std::unique_ptr<CacheModel> l1,
+                   std::unique_ptr<CacheModel> l2, PageMap page_map);
+
     unsigned numCores() const
     {
         return static_cast<unsigned>(l1s_.size());
@@ -202,9 +206,21 @@ class CoherentSystem
     bool checkInclusion() const;
 
     /**
+     * External coherence invalidation, physically addressed: the line
+     * leaves the L2 and every core's L1 copy (found through the
+     * reverse maps, section 3.2's Inclusion argument), and its
+     * ownership ends. Every core's row counts one externalInvalidates,
+     * whether or not its L1 held the line: the snoop reaches each
+     * core.
+     */
+    void externalInvalidate(std::uint64_t paddr);
+
+    /**
      * Flush every private L1 (and the reverse maps, pending holes and
-     * ownership that describe their contents). The shared L2 and its
-     * fill attribution survive, as in TwoLevelHierarchy::flushL1().
+     * ownership that describe their contents) — the context-switch
+     * cold start of virtual caches without ASIDs. The physically
+     * indexed L2 and its fill attribution survive; Inclusion trivially
+     * holds on empty L1s.
      */
     void flushL1s();
 

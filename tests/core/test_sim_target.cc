@@ -3,7 +3,7 @@
  * Tests for the SimTarget abstraction: the extended target label
  * grammar ("2lvl:", "cpu:"), and agreement of each target class with
  * the serial driver it subsumes (runTraceMemory, a hand-rolled
- * TwoLevelHierarchy loop, OooCore::run).
+ * one-core CoherentSystem loop, OooCore::run).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "cpu/ooo_core.hh"
 #include "hierarchy/two_level.hh"
 #include "index/factory.hh"
+#include "multicore/coherent_system.hh"
 #include "workloads/spec_proxy.hh"
 
 namespace cac
@@ -30,7 +31,7 @@ proxyTrace()
     return buildSpecProxy("swim", 15000);
 }
 
-TEST(TargetGrammar, KnownTargetAcceptsAllThreeForms)
+TEST(TargetGrammar, KnownTargetAcceptsEveryForm)
 {
     const OrgRegistry &reg = OrgRegistry::global();
     EXPECT_TRUE(reg.knownTarget("a2-Hp-Sk"));
@@ -39,10 +40,16 @@ TEST(TargetGrammar, KnownTargetAcceptsAllThreeForms)
     EXPECT_TRUE(reg.knownTarget("cpu:8k-ipoly-cp-pred"));
     EXPECT_TRUE(reg.knownTarget("cpu:a2-Hp-Sk"));
     EXPECT_TRUE(reg.knownTarget("cpu:a4"));
+    EXPECT_TRUE(reg.knownTarget("mc:4xa2-Hp-Sk/a4"));
+    EXPECT_TRUE(reg.knownTarget("mc:1xdm/full"));
 
     EXPECT_FALSE(reg.knownTarget("wombat"));
     EXPECT_FALSE(reg.knownTarget("2lvl:a2"));        // no '/'
     EXPECT_FALSE(reg.knownTarget("2lvl:a2/wombat")); // bad L2
+    EXPECT_FALSE(reg.knownTarget("mc:0xa2/a4"));     // no cores
+    EXPECT_FALSE(reg.knownTarget("mc:65xa2/a4"));    // above the cap
+    EXPECT_FALSE(reg.knownTarget("mc:2xa2"));        // no '/'
+    EXPECT_FALSE(reg.knownTarget("mc:2xwombat/a4")); // bad L1
     EXPECT_FALSE(reg.knownTarget("cpu:wombat"));
     EXPECT_FALSE(reg.knownTarget("cpu:"));
 }
@@ -52,10 +59,19 @@ TEST(TargetGrammar, BuildTargetProducesTheRightKinds)
     const TargetSpec spec;
     const OrgRegistry &reg = OrgRegistry::global();
     EXPECT_EQ(reg.buildTarget("a2", spec)->kind(), TargetKind::Cache);
-    EXPECT_EQ(reg.buildTarget("2lvl:a2/a4", spec)->kind(),
-              TargetKind::Hierarchy);
     EXPECT_EQ(reg.buildTarget("cpu:8k-conv", spec)->kind(),
               TargetKind::Cpu);
+
+    // "2lvl:" and "mc:1x" build the same one-core system; only "mc:"
+    // reports itself as a multicore target.
+    auto two = reg.buildTarget("2lvl:a2/a4", spec);
+    auto one = reg.buildTarget("mc:1xa2/a4", spec);
+    EXPECT_EQ(two->kind(), TargetKind::Hierarchy);
+    EXPECT_EQ(one->kind(), TargetKind::MultiCore);
+    EXPECT_EQ("1x " + two->name(), one->name());
+    EXPECT_TRUE(two->stats().hasHierarchy);
+    EXPECT_FALSE(two->stats().hasMultiCore);
+    EXPECT_TRUE(one->stats().hasMultiCore);
 }
 
 TEST(TargetGrammar, StandardTargetLabelsAllResolve)
@@ -69,6 +85,9 @@ TEST(TargetGrammarDeath, MalformedTwoLevelIsFatal)
     const TargetSpec spec;
     EXPECT_EXIT((void)OrgRegistry::global().buildTarget("2lvl:a2", spec),
                 ::testing::ExitedWithCode(1), "2lvl");
+    EXPECT_EXIT((void)OrgRegistry::global().buildTarget("mc:0xa2/a4",
+                                                        spec),
+                ::testing::ExitedWithCode(1), "CORES");
 }
 
 TEST(CacheTargetTest, ReplayMatchesRunTraceMemory)
@@ -92,7 +111,7 @@ TEST(CacheTargetTest, ReplayMatchesRunTraceMemory)
     EXPECT_EQ(got.l1.evictions, want.evictions);
 }
 
-TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
+TEST(TwoLevelTargetTest, MatchesHandRolledHierarchy)
 {
     const Trace trace = proxyTrace();
 
@@ -103,12 +122,12 @@ TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
         return std::make_unique<SetAssocCache>(
             geom, makeIndexFn(kind, geom.setBits(), ways, input_bits));
     };
-    TwoLevelHierarchy reference(
+    CoherentSystem reference(
         makeLevel(IndexKind::IPolySkew, 8 * 1024, 2, 14),
         makeLevel(IndexKind::Modulo, 256 * 1024, 2, 18), PageMap());
     for (const auto &rec : trace) {
         if (isMemOp(rec.op))
-            reference.access(rec.addr, rec.op == OpClass::Store);
+            reference.access(0, rec.addr, rec.op == OpClass::Store);
     }
 
     // Engine path: the same configuration through the label grammar.
@@ -120,7 +139,7 @@ TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
     const TargetStats got = target->stats();
 
     ASSERT_TRUE(got.hasHierarchy);
-    const HoleStats &want = reference.holeStats();
+    const HoleStats want = reference.aggregateHoles();
     EXPECT_EQ(got.holes.l1Misses, want.l1Misses);
     EXPECT_EQ(got.holes.l2Misses, want.l2Misses);
     EXPECT_EQ(got.holes.l2Replacements, want.l2Replacements);
@@ -128,8 +147,8 @@ TEST(HierarchyTargetTest, MatchesHandRolledHierarchy)
     EXPECT_EQ(got.holes.holesCreated, want.holesCreated);
     EXPECT_EQ(got.holes.holeRefills, want.holeRefills);
     EXPECT_EQ(got.holes.aliasRemovals, want.aliasRemovals);
-    EXPECT_EQ(got.l1.loads, reference.l1().stats().loads);
-    EXPECT_EQ(got.l1.loadMisses, reference.l1().stats().loadMisses);
+    EXPECT_EQ(got.l1.loads, reference.l1(0).stats().loads);
+    EXPECT_EQ(got.l1.loadMisses, reference.l1(0).stats().loadMisses);
     EXPECT_EQ(got.l2.misses(), reference.l2().stats().misses());
 }
 

@@ -263,6 +263,44 @@ TEST(CoherenceLitmus, FlushL1sDropsOwnershipAndCopies)
     EXPECT_EQ(sys.l2().stats().hits(), l2_hits_before + 1);
 }
 
+TEST(CoherenceLitmus, ExternalInvalidateRemovesSharedAndModifiedLines)
+{
+    auto sys = makeSystem(2);
+    const std::uint64_t A = 0x100, B = 0x200;
+    sys.access(0, A, false);
+    sys.access(1, A, false); // A Shared in both L1s
+    sys.access(1, B, true);  // B Modified in core 1
+    ASSERT_EQ(sys.state(0, A), LineState::Shared);
+    ASSERT_EQ(sys.state(1, A), LineState::Shared);
+    ASSERT_EQ(sys.state(1, B), LineState::Modified);
+
+    // A snooped physical invalidation takes the line out of the L2 and
+    // out of every L1 holding it, and ends any ownership.
+    for (const std::uint64_t v : {A, B}) {
+        const std::uint64_t paddr = sys.pageMap().translate(v);
+        sys.externalInvalidate(paddr);
+        EXPECT_FALSE(sys.l2().probe(paddr)) << v;
+        for (unsigned c = 0; c < 2; ++c) {
+            EXPECT_FALSE(sys.l1(c).probe(v)) << v << " core " << c;
+            EXPECT_EQ(sys.state(c, v), LineState::Invalid)
+                << v << " core " << c;
+        }
+        expectInvariants(sys, "after external invalidate");
+    }
+    // The snoop reaches every core, holder or not.
+    EXPECT_EQ(sys.stats().cores[0].holes.externalInvalidates, 2u);
+    EXPECT_EQ(sys.stats().cores[1].holes.externalInvalidates, 2u);
+
+    // The next accesses miss in L1 and in L2: no peer owns B any more,
+    // so nothing is served by intervention either.
+    const std::uint64_t l2_misses = sys.l2().stats().misses();
+    EXPECT_FALSE(sys.access(0, A, false));
+    EXPECT_FALSE(sys.access(1, B, false));
+    EXPECT_EQ(sys.l2().stats().misses(), l2_misses + 2);
+    EXPECT_EQ(sys.stats().interventions, 0u);
+    expectInvariants(sys, "after refill");
+}
+
 TEST(CoherenceLitmus, SwmrHoldsUnderRandomizedSharedStress)
 {
     // 4 cores hammer 24 shared lines with a deterministic LCG mix of
