@@ -150,6 +150,7 @@ main()
                 "  collide in L2 through the random page map, so L2 "
                 "misses hit L1-resident data; the real program's\n"
                 "  multi-MB footprint makes L2 misses cold capacity "
-                "misses (see EXPERIMENTS.md).\n");
+                "misses (see \"What the paper measures\" in "
+                "PAPER.md).\n");
     return 0;
 }

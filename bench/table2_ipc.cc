@@ -6,10 +6,10 @@
  * 8KB skewed I-Poly with the XOR gates out of / in the critical path,
  * the latter with/without address prediction).
  *
- * Expected shape (paper values in EXPERIMENTS.md): I-Poly collapses
- * the miss ratio of tomcatv/swim/wave5 and lifts their IPC past even
- * the 16KB conventional cache; the low-conflict programs change only
- * marginally; averages follow the paper's 1.27 -> 1.33 pattern
+ * Expected shape (see "What the paper measures" in PAPER.md): I-Poly
+ * collapses the miss ratio of tomcatv/swim/wave5 and lifts their IPC
+ * past even the 16KB conventional cache; the low-conflict programs change
+ * only marginally; averages follow the paper's 1.27 -> 1.33 pattern
  * directionally.
  *
  * The (proxy x configuration) grid runs on the simulation engine

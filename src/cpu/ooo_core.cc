@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -12,34 +13,35 @@ OooCore::OooCore(const CpuConfig &cfg)
       cache_(std::make_unique<TimingCache>(cfg)),
       bht_(cfg.bhtEntries),
       apred_(cfg.addrPredEntries),
-      rob_(cfg.robEntries)
+      rob_(std::bit_ceil(std::max(cfg.robEntries, 1u))),
+      rob_mask_(rob_.size() - 1)
 {
-    std::fill(std::begin(last_writer_slot_),
-              std::end(last_writer_slot_), -1);
-    std::fill(std::begin(last_writer_seq_),
-              std::end(last_writer_seq_), 0);
+    std::fill(std::begin(last_writer_seq_), std::end(last_writer_seq_),
+              kNone);
     store_buffer_.reserve(cfg.storeBufferEntries);
 }
 
 bool
-OooCore::producerDone(const RobEntry &consumer, unsigned which,
-                      std::uint64_t now) const
+OooCore::sourcesReady(RobEntry &entry, std::uint64_t now) const
 {
-    const int slot = consumer.srcSlot[which];
-    if (slot < 0)
-        return true; // produced before dispatch: available
-    const RobEntry &p = rob_[static_cast<std::size_t>(slot)];
-    // Slot reused or producer already committed => value long since
-    // available (commit is in order and requires completion).
-    if (p.seq != consumer.srcSeq[which] || p.seq < head_seq_)
-        return true;
-    return p.issued && p.resultReady <= now;
-}
-
-bool
-OooCore::sourcesReady(const RobEntry &entry, std::uint64_t now) const
-{
-    return producerDone(entry, 0, now) && producerDone(entry, 1, now);
+    if (entry.readyAt == kNone) {
+        std::uint64_t at = 0;
+        for (const std::uint64_t src : entry.srcSeq) {
+            if (src == kNone)
+                continue; // produced before dispatch: available
+            // Slot reused or producer already committed => value long
+            // since available (commit is in order and requires
+            // completion, so its resultReady has passed).
+            const RobEntry &p = slotOf(src);
+            if (p.seq != src || src < head_seq_)
+                continue;
+            if (!p.issued)
+                return false; // ready cycle not known yet
+            at = std::max(at, p.resultReady);
+        }
+        entry.readyAt = at;
+    }
+    return entry.readyAt <= now;
 }
 
 bool
@@ -52,13 +54,10 @@ OooCore::tryIssueLoad(RobEntry &entry, std::uint64_t now)
 
     // Store-to-load forwarding: the youngest older in-flight store to
     // the same address supplies the data once its address is computed
-    // (PA8000-style effective-address comparison, section 3.4).
-    for (std::uint64_t s = entry.seq; s-- > head_seq_;) {
-        const RobEntry &older = slotOf(s);
-        if (older.rec.op != OpClass::Store
-            || older.rec.addr != rec.addr) {
-            continue;
-        }
+    // (PA8000-style effective-address comparison, section 3.4). Found
+    // at dispatch; once it commits, so has every older store.
+    if (entry.fwdSeq != kNone && entry.fwdSeq >= head_seq_) {
+        const RobEntry &older = slotOf(entry.fwdSeq);
         if (!older.issued)
             return false; // address unknown: wait, don't misspeculate
         if (!fus_.tryIssue(OpClass::Load, now))
@@ -99,6 +98,30 @@ OooCore::tryIssueLoad(RobEntry &entry, std::uint64_t now)
     return true;
 }
 
+bool
+OooCore::tryIssueOp(RobEntry &entry, CpuStats &stats)
+{
+    const OpClass op = entry.rec.op;
+    if (!fus_.tryIssue(op, cycle_))
+        return false;
+
+    entry.issued = true;
+    entry.resultReady = cycle_ + opLatency(op);
+
+    if (op == OpClass::Branch) {
+        // Resolution: train the BHT and, on a misprediction, schedule
+        // the fetch redirect.
+        bht_.update(entry.rec.pc, entry.rec.taken);
+        bht_.recordOutcome(!entry.mispredicted);
+        if (entry.mispredicted) {
+            ++stats.branchMispredicts;
+            fetch_resume_ = entry.resultReady + cfg_.mispredictRedirect;
+            fetch_resume_known_ = true;
+        }
+    }
+    return true;
+}
+
 void
 OooCore::dispatch(const TraceRecord *recs, std::size_t n_recs,
                   std::size_t &next, CpuStats &stats)
@@ -121,25 +144,32 @@ OooCore::dispatch(const TraceRecord *recs, std::size_t n_recs,
         entry.rec = rec;
         entry.seq = tail_seq_;
 
-        // Capture producers for both sources.
+        // Capture live producers for both sources.
         const std::int8_t srcs[2] = {rec.src1, rec.src2};
         for (unsigned k = 0; k < 2; ++k) {
             if (srcs[k] < 0)
                 continue;
-            const int slot = last_writer_slot_[srcs[k]];
-            if (slot < 0)
-                continue;
-            const RobEntry &w = rob_[static_cast<std::size_t>(slot)];
-            if (w.seq == last_writer_seq_[srcs[k]]
-                && w.seq >= head_seq_) {
-                entry.srcSlot[k] = slot;
-                entry.srcSeq[k] = w.seq;
-            }
+            const std::uint64_t w = last_writer_seq_[srcs[k]];
+            if (w != kNone && w >= head_seq_ && slotOf(w).seq == w)
+                entry.srcSeq[k] = w;
         }
-        if (rec.dst >= 0) {
-            last_writer_slot_[rec.dst] =
-                static_cast<int>(tail_seq_ % cfg_.robEntries);
+        if (rec.dst >= 0)
             last_writer_seq_[rec.dst] = tail_seq_;
+
+        if (rec.op == OpClass::Store) {
+            entry.olderStore = youngest_store_;
+            youngest_store_ = tail_seq_;
+        } else if (rec.op == OpClass::Load) {
+            // Walk the in-flight stores, youngest first; the first one
+            // below head_seq_ has committed, and so has every older one.
+            for (std::uint64_t st = youngest_store_;
+                 st != kNone && st >= head_seq_;
+                 st = slotOf(st).olderStore) {
+                if (slotOf(st).rec.addr == rec.addr) {
+                    entry.fwdSeq = st;
+                    break;
+                }
+            }
         }
 
         if (rec.op == OpClass::Branch) {
@@ -160,6 +190,11 @@ OooCore::dispatch(const TraceRecord *recs, std::size_t n_recs,
             }
         }
 
+        if (waiting_tail_ == kNone)
+            waiting_head_ = tail_seq_;
+        else
+            slotOf(waiting_tail_).nextWaiting = tail_seq_;
+        waiting_tail_ = tail_seq_;
         ++tail_seq_;
         ++next;
 
@@ -175,40 +210,30 @@ OooCore::dispatch(const TraceRecord *recs, std::size_t n_recs,
 void
 OooCore::issue(CpuStats &stats)
 {
+    // Walk the unissued entries oldest first, unlinking each one that
+    // issues, until issueWidth have issued.
     unsigned issued = 0;
-    for (std::uint64_t s = head_seq_;
-         s < tail_seq_ && issued < cfg_.issueWidth; ++s) {
-        RobEntry &entry = slotOf(s);
-        if (entry.issued)
-            continue;
-        if (!sourcesReady(entry, cycle_))
-            continue;
-
-        const OpClass op = entry.rec.op;
-        if (op == OpClass::Load) {
-            if (tryIssueLoad(entry, cycle_))
-                ++issued;
-            continue;
+    std::uint64_t prev = kNone;
+    for (std::uint64_t seq = waiting_head_;
+         seq != kNone && issued < cfg_.issueWidth;) {
+        RobEntry &entry = slotOf(seq);
+        const std::uint64_t next = entry.nextWaiting;
+        const bool went = sourcesReady(entry, cycle_)
+                          && (entry.rec.op == OpClass::Load
+                                  ? tryIssueLoad(entry, cycle_)
+                                  : tryIssueOp(entry, stats));
+        if (went) {
+            ++issued;
+            if (prev == kNone)
+                waiting_head_ = next;
+            else
+                slotOf(prev).nextWaiting = next;
+            if (next == kNone)
+                waiting_tail_ = prev;
+        } else {
+            prev = seq;
         }
-        if (!fus_.tryIssue(op, cycle_))
-            continue;
-
-        entry.issued = true;
-        entry.resultReady = cycle_ + opLatency(op);
-        ++issued;
-
-        if (op == OpClass::Branch) {
-            // Resolution: train the BHT and, on a misprediction,
-            // schedule the fetch redirect.
-            bht_.update(entry.rec.pc, entry.rec.taken);
-            bht_.recordOutcome(!entry.mispredicted);
-            if (entry.mispredicted) {
-                ++stats.branchMispredicts;
-                fetch_resume_ =
-                    entry.resultReady + cfg_.mispredictRedirect;
-                fetch_resume_known_ = true;
-            }
-        }
+        seq = next;
     }
 }
 
@@ -222,7 +247,7 @@ OooCore::commit(CpuStats &stats)
     for (unsigned n = 0; n < cfg_.commitWidth; ++n) {
         if (head_seq_ == tail_seq_)
             return;
-        RobEntry &entry = slotOf(head_seq_);
+        const RobEntry &entry = slotOf(head_seq_);
         if (!entry.issued || entry.resultReady > cycle_)
             return;
         if (entry.rec.op == OpClass::Store) {
@@ -261,6 +286,10 @@ OooCore::beginStream()
     // cycles are deltas from this point.
     stream_start_cycle_ = cycle_;
     head_seq_ = tail_seq_ = 0;
+    // Seqs restart at 0: a store or waiter left over from an unfinished
+    // stream must not match the new stream's seqs.
+    waiting_head_ = waiting_tail_ = kNone;
+    youngest_store_ = kNone;
     fetch_blocked_ = false;
     fetch_resume_known_ = false;
     store_buffer_.clear();
@@ -270,10 +299,8 @@ OooCore::beginStream()
     // stale last-writer entry would pass dispatch's seq guard (every
     // seq is >= the reset head_seq_) and stall the new stream's
     // consumers on a previous stream's resultReady.
-    std::fill(std::begin(last_writer_slot_),
-              std::end(last_writer_slot_), -1);
-    std::fill(std::begin(last_writer_seq_),
-              std::end(last_writer_seq_), 0);
+    std::fill(std::begin(last_writer_seq_), std::end(last_writer_seq_),
+              kNone);
     // Cache contents and functional counters persist across streams;
     // snapshot the counters so finishStream() reports deltas.
     stream_start_loads_ = cache_->stats().loads;

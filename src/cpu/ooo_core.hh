@@ -16,6 +16,21 @@
  * indexKind (conventional vs I-Poly), xorInCriticalPath (+1 cycle on
  * the cache access path) and addressPrediction (predicted-line access
  * overlapped with address computation).
+ *
+ * Each cycle does work proportional to what can change, following the
+ * RUU/ready-queue split of SimpleScalar (Burger & Austin, TR-1342):
+ *  - Store-to-load forwarding is resolved at dispatch. The in-flight
+ *    stores form an in-order list, linked youngest to oldest through
+ *    the ROB; a dispatching load walks it and records the youngest
+ *    store to its address. Entries leave the window only from the
+ *    head, so that store stays the load's forwarding source until it
+ *    commits, and then every older store has committed too.
+ *  - Issue walks a program-order waiting list of unissued entries,
+ *    also linked through the ROB, not the whole ROB. An entry caches
+ *    the cycle its sources are ready once every live producer has
+ *    issued, so later checks are one comparison.
+ *  - The ROB ring is a power of two (at least robEntries; occupancy is
+ *    still capped at robEntries), so a seq maps to its slot by a mask.
  */
 
 #ifndef CAC_CPU_OOO_CORE_HH
@@ -110,6 +125,9 @@ class OooCore
     void flushDataCache();
 
   private:
+    /** Sentinel: no producer or store seq, or a cycle not known yet. */
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
     struct RobEntry
     {
         /**
@@ -118,24 +136,34 @@ class OooCore
          */
         TraceRecord rec;
         std::uint64_t seq = 0;
-        bool issued = false;
         std::uint64_t resultReady = 0; ///< valid once issued
-        /** Producer tracking: ROB slot + seq, or slot = -1. */
-        int srcSlot[2] = {-1, -1};
-        std::uint64_t srcSeq[2] = {0, 0};
+        /** Producer of each source, or kNone. */
+        std::uint64_t srcSeq[2] = {kNone, kNone};
+        /** Cycle both sources are ready; kNone until every live
+         *  producer has issued. */
+        std::uint64_t readyAt = kNone;
+        /** Loads: youngest older in-flight store to the same address
+         *  at dispatch, or kNone. */
+        std::uint64_t fwdSeq = kNone;
+        /** Stores: the next older store (the store list's link). */
+        std::uint64_t olderStore = kNone;
+        /** Unissued: the next younger unissued entry (the waiting
+         *  list's link). */
+        std::uint64_t nextWaiting = kNone;
+        bool issued = false;
         bool mispredicted = false;      ///< branches
         bool predConfident = false;     ///< loads, addressPrediction on
         bool predCorrect = false;       ///< loads, addressPrediction on
     };
 
-    /** In-flight test for a producer reference. */
-    bool producerDone(const RobEntry &consumer, unsigned which,
-                      std::uint64_t now) const;
-
-    bool sourcesReady(const RobEntry &entry, std::uint64_t now) const;
+    /** True once both of @p entry's sources are available at @p now. */
+    bool sourcesReady(RobEntry &entry, std::uint64_t now) const;
 
     /** Issue one load; false when it must retry (MSHRs/ports busy). */
     bool tryIssueLoad(RobEntry &entry, std::uint64_t now);
+
+    /** Issue one non-load; false when its unit is busy. */
+    bool tryIssueOp(RobEntry &entry, CpuStats &stats);
 
     void dispatch(const TraceRecord *recs, std::size_t n,
                   std::size_t &next, CpuStats &stats);
@@ -145,14 +173,11 @@ class OooCore
     /** One pipeline cycle consuming from the pending-record buffer. */
     void streamCycle();
 
-    RobEntry &slotOf(std::uint64_t seq)
-    {
-        return rob_[seq % cfg_.robEntries];
-    }
+    RobEntry &slotOf(std::uint64_t seq) { return rob_[seq & rob_mask_]; }
 
     const RobEntry &slotOf(std::uint64_t seq) const
     {
-        return rob_[seq % cfg_.robEntries];
+        return rob_[seq & rob_mask_];
     }
 
     CpuConfig cfg_;
@@ -161,13 +186,25 @@ class OooCore
     BranchPredictor bht_;
     AddrPredictor apred_;
 
-    std::vector<RobEntry> rob_;
+    std::vector<RobEntry> rob_; ///< ring of rob_mask_ + 1 slots
+    std::uint64_t rob_mask_;
     std::uint64_t head_seq_ = 0; ///< oldest in-flight seq
     std::uint64_t tail_seq_ = 0; ///< next seq to allocate
     std::uint64_t cycle_ = 0;
 
-    /** Last writer of each architectural register. */
-    int last_writer_slot_[64];
+    /** The unissued entries in program order, linked oldest to
+     *  youngest through nextWaiting; kNone when empty. */
+    std::uint64_t waiting_head_ = kNone;
+    std::uint64_t waiting_tail_ = kNone;
+
+    /**
+     * Youngest dispatched store, or kNone: the head of the in-flight
+     * store list, linked youngest to oldest through olderStore. A store
+     * leaves the list when it commits, which is where a walk stops.
+     */
+    std::uint64_t youngest_store_ = kNone;
+
+    /** Last writer (seq) of each architectural register, or kNone. */
     std::uint64_t last_writer_seq_[64];
 
     /** Fetch stall state for an unresolved mispredicted branch. */

@@ -72,10 +72,12 @@ TimingCache::load(std::uint64_t addr, std::uint64_t start_tick)
 bool
 TimingCache::wouldAccept(std::uint64_t addr, std::uint64_t now) const
 {
+    // A free MSHR accepts anything; test it before the lookups so most
+    // retries skip the index evaluation.
+    if (!mshrs_.full())
+        return true;
     const std::uint64_t block = array_->geometry().blockAddr(addr);
     if (mshrs_.find(block) != nullptr || array_->probe(addr))
-        return true;
-    if (!mshrs_.full())
         return true;
     // A full file still accepts when some entry's fill completes by the
     // access tick (load() retires it before allocating).

@@ -143,6 +143,116 @@ TEST(OooCore, StoreForwardingBeatsCacheRoundTrip)
     EXPECT_EQ(s.loadMisses, 0u); // all forwarded, no cache misses
 }
 
+/**
+ * A 67-cycle divide into r5, which a later store or load depends on,
+ * so that instruction's address or data stays unknown that long.
+ */
+void
+slowR5(TraceBuilder &b)
+{
+    b.alu(OpClass::IntDiv, reg::r(5), reg::r(1), reg::r(2));
+}
+
+/** Ten dependent 4-cycle FP adds on f0: 40 cycles after f0 lands. */
+void
+chainOnF0(TraceBuilder &b)
+{
+    for (int i = 0; i < 10; ++i)
+        b.alu(OpClass::FpAdd, reg::f(0), reg::f(0), reg::f(0));
+}
+
+TEST(OooCore, LoadForwardsFromTheYoungerOfTwoStores)
+{
+    // The older store is ready at once; the younger waits on the
+    // divide. The load must take the younger store's data, so its
+    // dependent chain cannot start before the divide ends.
+    Trace t;
+    TraceBuilder b(t);
+    slowR5(b);
+    b.store(0x8000, reg::r(6));
+    b.store(0x8000, reg::r(5));
+    b.load(0x8000, reg::f(0));
+    chainOnF0(b);
+    const CpuStats s = runTrace(t);
+    EXPECT_EQ(s.loads, 1u);
+    EXPECT_EQ(s.loadMisses, 0u); // forwarded: no cache access
+    EXPECT_GT(s.cycles, 67u + 40u);
+}
+
+TEST(OooCore, LoadAfterItsStoreCommittedGoesToTheCache)
+{
+    // The store commits long before the load's address (r5) is known;
+    // once the store has left the window the load reads the cache,
+    // which the write-through no-allocate store did not fill.
+    Trace t;
+    TraceBuilder b(t);
+    b.store(0x8000, reg::r(6));
+    slowR5(b);
+    b.load(0x8000, reg::f(0), reg::r(5));
+    const CpuStats s = runTrace(t);
+    EXPECT_EQ(s.loads, 1u);
+    EXPECT_EQ(s.loadMisses, 1u);
+}
+
+TEST(OooCore, LoadWaitsForAnOlderStoreWithUnresolvedAddress)
+{
+    // The store's base register comes from the divide; the load of the
+    // same address must wait for it and then forward, never read the
+    // cache early. A store elsewhere does not hold the load back.
+    auto build = [](std::uint64_t store_addr) {
+        Trace t;
+        TraceBuilder b(t);
+        slowR5(b);
+        b.store(store_addr, reg::r(6), reg::r(5));
+        b.load(0x8000, reg::f(0));
+        chainOnF0(b);
+        return t;
+    };
+    const CpuStats same = runTrace(build(0x8000));
+    EXPECT_EQ(same.loadMisses, 0u);
+    EXPECT_GT(same.cycles, 67u + 40u);
+
+    const CpuStats other = runTrace(build(0x9000));
+    EXPECT_EQ(other.loadMisses, 1u);
+    EXPECT_LT(other.cycles, same.cycles);
+}
+
+TEST(OooCore, UnfinishedStreamLeavesNoStoreToForwardFrom)
+{
+    // A store is still in flight (waiting on the divide) when a new
+    // stream begins without finishStream(). Seqs restart at 0, so a
+    // leftover in-flight store must not supply the new stream's load.
+    Trace first;
+    {
+        TraceBuilder b(first);
+        slowR5(b);
+        b.store(0x8000, reg::r(5));
+        for (int i = 0; i < 6; ++i)
+            b.alu(OpClass::IntAlu, reg::r(7));
+    }
+    // The load takes seq 0 and an independent op seq 1, the leftover
+    // store's seq: a stale match would forward from that op (no miss)
+    // rather than hang.
+    Trace second;
+    {
+        TraceBuilder b(second);
+        b.load(0x8000, reg::f(0));
+        b.alu(OpClass::IntAlu, reg::r(8));
+        chainOnF0(b);
+    }
+    OooCore core(CpuConfig::paperDefault());
+    core.beginStream();
+    core.feed(first.data(), first.size());
+    core.beginStream();
+    core.feed(second.data(), second.size());
+    const CpuStats got = core.finishStream();
+
+    EXPECT_EQ(got.instructions, second.size());
+    EXPECT_EQ(got.loads, 1u);
+    EXPECT_EQ(got.loadMisses, 1u); // read the cache, not the old store
+    EXPECT_EQ(got.cycles, runTrace(second).cycles);
+}
+
 TEST(OooCore, CommitIsBoundedByWidth)
 {
     Trace t;
