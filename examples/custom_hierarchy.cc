@@ -28,7 +28,7 @@ main()
         makeIndexFn(IndexKind::Modulo, l2_geom.setBits(),
                     l2_geom.ways()));
 
-    // One core of the coherent system is the plain hierarchy.
+    // A one-core CoherentSystem is the plain hierarchy.
     CoherentSystem hierarchy(std::move(l1), std::move(l2),
                              PageMap(/*page_bytes=*/4096));
 
@@ -43,9 +43,9 @@ main()
     for (const auto &rec : trace) {
         if (rec.op == OpClass::Load) {
             ++loads;
-            hits += hierarchy.access(0, rec.addr, false);
+            hits += hierarchy.access(rec.addr, false);
         } else if (rec.op == OpClass::Store) {
-            hierarchy.access(0, rec.addr, true);
+            hierarchy.access(rec.addr, true);
         }
     }
 

@@ -85,9 +85,9 @@ struct ConflictProfile
 
     /**
      * Multicore attribution, copied from the wrapped target when it is
-     * an N-core coherent system: per-core coherence traffic rows plus
-     * the inter-core invalidation/conflict-miss attribution — the
-     * multicore analogue of the per-program scenario attribution.
+     * an N-core system: per-core rows plus the inter-core
+     * eviction/conflict-miss attribution — the multicore analogue of
+     * the per-program scenario attribution.
      */
     bool hasMultiCore = false;
     MultiCoreStats multicore;

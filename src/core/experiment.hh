@@ -35,7 +35,7 @@ CacheStats runAddressStream(CacheModel &cache,
  * carries over), so the single batching rule serves both whole-trace
  * replay (runTraceMemory) and chunked streaming (CacheTarget). The
  * sink is anything with an accessRun(addrs, writes, n) member — a
- * CacheModel, the two-level hierarchy or the coherent system. Whoever
+ * CacheModel or the two-level system (CoherentSystem). Whoever
  * owns a gatherer flushes it before anything else touches the sink
  * (a direct batch, a checkpoint, a cold flush, the end of the stream).
  */

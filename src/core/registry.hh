@@ -129,7 +129,7 @@ class OrgRegistry
      *  - "cpu:CONFIG" — the out-of-order core, where CONFIG is a Table-2
      *    configuration name ("8k-ipoly-cp", ...) or an associativity
      *    family label ("a2-Hp-Sk") applied to the spec's L1 geometry;
-     *  - "mc:CORESxL1/L2" — CORES coherent cores with private L1s over
+     *  - "mc:CORESxL1/L2" — CORES cores with private L1s over
      *    one shared L2 (e.g. "mc:4xa2-Hp-Sk/a4").
      */
     bool knownTarget(const std::string &label) const;

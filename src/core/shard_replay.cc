@@ -85,15 +85,15 @@ runShards(const TargetFactory &factory, std::uint64_t count,
                     "is not attributable to a slice)"));
             }
             if (target->kind() == TargetKind::MultiCore && shards > 1) {
-                // Coherence state (ownership, peer-L1 contents) spans
-                // cores: a cold-started slice would miss invalidations
-                // and interventions owed to earlier slices, producing
-                // checkpoints no warm-up bound reconciles.
+                // The shared L2 remembers which core evicted each
+                // line from arbitrarily far back: a cold-started slice
+                // would misattribute inter-core conflict misses, which
+                // no warm-up bound reconciles.
                 throw CacError(Error::make(
                     ErrorCode::WorkerFailed,
                     "multi-core targets cannot be time-sharded "
-                    "(coherence state is not attributable to a "
-                    "slice)"));
+                    "(inter-core eviction history is not attributable "
+                    "to a slice)"));
             }
             names[i] = target->name();
             deltas[i] = replayShard(

@@ -11,7 +11,7 @@
  *  - CacheTarget — a functional CacheModel (miss ratios, sections 2-3);
  *  - MultiCoreTarget (multicore/mc_target.hh) — the two-level
  *    virtual-real hierarchy with Inclusion holes and alias shoot-downs
- *    (sections 3.1-3.3), one core for "2lvl:" and N coherent cores for
+ *    (sections 3.1-3.3), one core for "2lvl:" and N cores for
  *    "mc:";
  *  - CpuTarget — the out-of-order core + timing L1 (IPC, section 4 and
  *    Tables 2-3), built on OooCore's streaming feed() interface.
@@ -65,7 +65,7 @@ enum class TargetKind
     Cache,     ///< functional single-level CacheModel
     Hierarchy, ///< two-level virtual-real hierarchy
     Cpu,       ///< out-of-order core + timing L1
-    MultiCore  ///< N coherent cores: private L1s over a shared L2
+    MultiCore  ///< N cores: private L1s over a shared L2
 };
 
 /** Short display name ("cache", "2lvl", "cpu", "mc"). */
@@ -90,8 +90,8 @@ struct TargetStats
     CpuStats cpu; ///< IPC, cycles, branch + address prediction
 
     /**
-     * Multicore section: per-core L1/hole rows plus coherence traffic
-     * (interventions, invalidations, inter-core conflict attribution).
+     * Multicore section: per-core L1/hole rows plus inter-core
+     * conflict attribution in the shared L2.
      * For MultiCore targets l1/l2/holes above hold the cross-core
      * aggregates, so single-target report paths work unchanged.
      */

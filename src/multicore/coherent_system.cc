@@ -1,5 +1,7 @@
 #include "multicore/coherent_system.hh"
 
+#include <unordered_set>
+
 #include "cache/set_assoc.hh"
 #include "common/logging.hh"
 
@@ -11,10 +13,6 @@ namespace
 
 /** McCoreStats counter list (delta/accumulate cannot drift apart). */
 constexpr std::uint64_t McCoreStats::*kMcCoreFields[] = {
-    &McCoreStats::interventionsReceived,
-    &McCoreStats::interventionsSupplied,
-    &McCoreStats::invalidationsReceived,
-    &McCoreStats::upgrades,
     &McCoreStats::l2EvictionsByOthers,
     &McCoreStats::interCoreConflictMisses};
 
@@ -79,9 +77,6 @@ multiCoreStatsDelta(const MultiCoreStats &now, const MultiCoreStats &then)
             ? now.cores[i]
             : mcCoreStatsDelta(now.cores[i], then.cores[i]);
     }
-    d.interventions = now.interventions - then.interventions;
-    d.invalidationMessages =
-        now.invalidationMessages - then.invalidationMessages;
     return d;
 }
 
@@ -92,8 +87,6 @@ multiCoreStatsAccumulate(MultiCoreStats &into, const MultiCoreStats &delta)
         into.cores.resize(delta.cores.size());
     for (std::size_t i = 0; i < delta.cores.size(); ++i)
         mcCoreStatsAccumulate(into.cores[i], delta.cores[i]);
-    into.interventions += delta.interventions;
-    into.invalidationMessages += delta.invalidationMessages;
 }
 
 CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
@@ -115,6 +108,8 @@ CoherentSystem::CoherentSystem(std::vector<std::unique_ptr<CacheModel>> l1s,
     }
     if (page_map_.pageBytes() < l1s_.front()->geometry().blockBytes())
         fatal("page size smaller than the cache block size");
+    if (l1s_.size() > 1 && window_bytes_ % page_map_.pageBytes() != 0)
+        fatal("the core window must be a multiple of the page size");
     l1_sa_.reserve(l1s_.size());
     for (auto &l1 : l1s_)
         l1_sa_.push_back(dynamic_cast<SetAssocCache *>(l1.get()));
@@ -133,17 +128,13 @@ CoherentSystem::CoherentSystem(std::unique_ptr<CacheModel> l1,
 }
 
 bool
-CoherentSystem::access(unsigned core, std::uint64_t vaddr, bool is_write)
+CoherentSystem::access(std::uint64_t vaddr, bool is_write)
 {
-    CAC_ASSERT(core < l1s_.size());
-    AccessResult l1_result = l1s_[core]->access(vaddr, is_write);
-    if (l1_result.hit) {
-        if (is_write && l1s_.size() > 1)
-            writeHitUpgrade(core, vaddr);
-        return true;
-    }
-    missPath(core, vaddr, is_write, l1_result);
-    return false;
+    const unsigned core = coreFor(vaddr);
+    const AccessResult l1_result = l1s_[core]->access(vaddr, is_write);
+    if (!l1_result.hit)
+        missPath(core, vaddr, is_write, l1_result);
+    return l1_result.hit;
 }
 
 void
@@ -175,18 +166,20 @@ CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
 {
     SetAssocCache *sa = l1_sa_[core];
     if (sa == nullptr || !sa->indexPlan().packedCapable()) {
-        for (std::size_t i = 0; i < n; ++i)
-            access(core, vaddrs[i], writes[i] != 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool is_write = writes[i] != 0;
+            const AccessResult r = l1s_[core]->access(vaddrs[i], is_write);
+            if (!r.hit)
+                missPath(core, vaddrs[i], is_write, r);
+        }
         return;
     }
     // L1 hits — the overwhelming majority — cost one precomputed-index
-    // lookup; only misses (and write hits needing an S -> M upgrade)
-    // enter the translation + coherence path.
+    // lookup; only misses enter the translation + L2 path.
     const IndexPlan &plan = sa->indexPlan();
     constexpr std::size_t kTile = 256;
     std::uint64_t blocks[kTile];
     std::uint64_t packed[kTile];
-    const bool multi = l1s_.size() > 1;
     for (std::size_t base = 0; base < n; base += kTile) {
         const std::size_t m = n - base < kTile ? n - base : kTile;
         for (std::size_t i = 0; i < m; ++i)
@@ -196,63 +189,17 @@ CoherentSystem::coreBatch(unsigned core, const std::uint64_t *vaddrs,
             const bool is_write = writes[base + i] != 0;
             const AccessResult r =
                 sa->accessPacked(blocks[i], packed[i], is_write);
-            if (r.hit) {
-                if (is_write && multi)
-                    writeHitUpgrade(core, vaddrs[base + i]);
-            } else {
+            if (!r.hit)
                 missPath(core, vaddrs[base + i], is_write, r);
-            }
         }
     }
-}
-
-void
-CoherentSystem::writeHitUpgrade(unsigned core, std::uint64_t vaddr)
-{
-    // Translation is memoized per page, so the extra lookup here
-    // consumes no randomness and perturbs nothing.
-    const std::uint64_t pblock =
-        l2_->geometry().blockAddr(page_map_.translate(vaddr));
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
-        return; // already Modified here
-    ++mc_.cores[core].upgrades;
-    invalidateOtherCopies(core, pblock);
-    owner_[pblock] = core;
-}
-
-void
-CoherentSystem::invalidateOtherCopies(unsigned core, std::uint64_t pblock)
-{
-    for (unsigned j = 0; j < l1s_.size(); ++j) {
-        if (j == core)
-            continue;
-        auto it = l1_contents_[j].find(pblock);
-        if (it == l1_contents_[j].end())
-            continue;
-        l1s_[j]->invalidate(l1s_[j]->geometry().byteAddr(it->second));
-        l1_contents_[j].erase(it);
-        ++mc_.cores[j].invalidationsReceived;
-        ++mc_.invalidationMessages;
-    }
-    auto o = owner_.find(pblock);
-    if (o != owner_.end() && o->second != core)
-        owner_.erase(o);
-}
-
-void
-CoherentSystem::dropOwnership(std::uint64_t pblock, unsigned core)
-{
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
-        owner_.erase(it);
 }
 
 void
 CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
                          const AccessResult &l1_result)
 {
-    // Every coherence step is guarded by `multi`, so a 1-core system
+    // Inter-core attribution is guarded by `multi`, so a 1-core system
     // runs the plain two-level protocol.
     CacheModel &l1 = *l1s_[core];
     auto &contents = l1_contents_[core];
@@ -276,8 +223,6 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
         const std::uint64_t evicted_pblock = l2_->geometry().blockAddr(
             page_map_.translate(*l1_result.evictedAddr));
         contents.erase(evicted_pblock);
-        if (multi)
-            dropOwnership(evicted_pblock, core);
         // A dirty write-back from L1 updates L2 (hit expected under
         // Inclusion).
         if (l1_result.evictedDirty)
@@ -294,41 +239,6 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
         }
         contents[pblock] = vblock;
     }
-
-    // Coherence: a peer holding the line Modified serves the miss
-    // (L1-to-L1 intervention, no L2 involvement); a store shoots down
-    // every other copy and takes ownership.
-    bool served_by_intervention = false;
-    if (multi) {
-        auto o = owner_.find(pblock);
-        if (o != owner_.end() && o->second != core) {
-            const unsigned peer = o->second;
-            ++mc_.interventions;
-            ++cs.interventionsReceived;
-            ++mc_.cores[peer].interventionsSupplied;
-            if (is_write) {
-                auto it = l1_contents_[peer].find(pblock);
-                if (it != l1_contents_[peer].end()) {
-                    l1s_[peer]->invalidate(
-                        l1s_[peer]->geometry().byteAddr(it->second));
-                    l1_contents_[peer].erase(it);
-                    ++mc_.cores[peer].invalidationsReceived;
-                    ++mc_.invalidationMessages;
-                }
-            }
-            // Read: the peer keeps a Shared copy (M -> S). Either way
-            // the old ownership ends here.
-            owner_.erase(o);
-            served_by_intervention = true;
-        }
-        if (is_write) {
-            invalidateOtherCopies(core, pblock);
-            if (l1_result.filled)
-                owner_[pblock] = core;
-        }
-    }
-    if (served_by_intervention)
-        return; // data came from the peer L1, not the L2
 
     // Shared-L2 lookup with the physical address.
     AccessResult l2_result = l2_->access(paddr, is_write);
@@ -385,8 +295,6 @@ CoherentSystem::missPath(unsigned core, std::uint64_t vaddr, bool is_write,
             }
             l1_contents_[j].erase(it);
         }
-        if (multi)
-            owner_.erase(victim_pblock);
     }
 }
 
@@ -417,45 +325,18 @@ CoherentSystem::aggregateHoles() const
     return total;
 }
 
-CoherentSystem::LineState
-CoherentSystem::state(unsigned core, std::uint64_t vaddr)
-{
-    CAC_ASSERT(core < l1s_.size());
-    if (!l1s_[core]->probe(vaddr))
-        return LineState::Invalid;
-    const std::uint64_t pblock =
-        l2_->geometry().blockAddr(page_map_.translate(vaddr));
-    auto it = owner_.find(pblock);
-    if (it != owner_.end() && it->second == core)
-        return LineState::Modified;
-    return LineState::Shared;
-}
-
 bool
 CoherentSystem::checkCoherence() const
 {
-    // Every reverse-map entry must match a resident L1 line.
+    // Every reverse-map entry must match a resident L1 line, and no
+    // physical block may be tracked by two cores.
+    std::unordered_set<std::uint64_t> seen;
     for (unsigned c = 0; c < l1s_.size(); ++c) {
         for (const auto &[pblock, vblock] : l1_contents_[c]) {
             if (!l1s_[c]->probe(l1s_[c]->geometry().byteAddr(vblock)))
                 return false;
-        }
-    }
-    // SWMR: a Modified line is resident in its owner's L1 and in no
-    // other core's.
-    for (const auto &[pblock, owner] : owner_) {
-        if (owner >= l1s_.size())
-            return false;
-        if (l1_contents_[owner].find(pblock)
-            == l1_contents_[owner].end()) {
-            return false;
-        }
-        for (unsigned j = 0; j < l1s_.size(); ++j) {
-            if (j != owner
-                && l1_contents_[j].find(pblock)
-                       != l1_contents_[j].end()) {
+            if (!seen.insert(pblock).second)
                 return false;
-            }
         }
     }
     return true;
@@ -489,7 +370,6 @@ CoherentSystem::externalInvalidate(std::uint64_t paddr)
         l1s_[c]->invalidate(l1s_[c]->geometry().byteAddr(it->second));
         l1_contents_[c].erase(it);
     }
-    owner_.erase(pblock);
     l2_filler_.erase(pblock);
 }
 
@@ -502,7 +382,6 @@ CoherentSystem::flushL1s()
         contents.clear();
     for (auto &holes : holes_)
         holes.clear();
-    owner_.clear();
 }
 
 } // namespace cac

@@ -1,6 +1,6 @@
 /**
  * @file
- * MultiCoreTarget: the coherent two-level system (CoherentSystem)
+ * MultiCoreTarget: the two-level system (CoherentSystem)
  * behind the SimTarget interface, so sweeps, scenarios, the conflict
  * profiler and the CLI drive it exactly like a single cache.
  *
@@ -9,11 +9,13 @@
  * builds one core and reports TargetKind::Hierarchy: the hierarchy's
  * L1/L2/hole rows, no multicore section.
  * `mc:<cores>x<l1-org>/<l2-org>` (e.g. "mc:4xa2-Hp-Sk/a4") reports
- * TargetKind::MultiCore with per-core rows and coherence traffic;
+ * TargetKind::MultiCore with per-core rows and inter-core conflict
+ * attribution;
  * `cac_sim --cores N` rewrites plain organization labels into that
  * grammar. Streams demultiplex onto cores by ASID window (see
  * CoherentSystem), so a Scenario mix's programs round-robin across
- * cores with no scheduler changes.
+ * cores with no scheduler changes, and no two cores ever cache one
+ * physical block.
  */
 
 #ifndef CAC_MULTICORE_MC_TARGET_HH
@@ -28,7 +30,7 @@
 namespace cac
 {
 
-/** Two-level (one core) or N-core coherent shared-cache target. */
+/** Two-level (one core) or N-core shared-L2 target. */
 class MultiCoreTarget : public SimTarget
 {
   public:

@@ -21,7 +21,6 @@ ObsWindow::missRatio() const
 WindowSampler::WindowSampler(SimTarget &target, std::uint64_t window_size)
     : target_(&target),
       profiler_(dynamic_cast<const ConflictProfiler *>(&target)),
-      coherent_(target.kind() == TargetKind::MultiCore),
       window_(window_size)
 {
     CAC_ASSERT(window_size > 0);
@@ -31,7 +30,6 @@ WindowSampler::WindowSampler(SimTarget &target, std::uint64_t window_size)
     last_ = read();
     current_.startAccess = last_.loads + last_.stores;
     current_.hasConflict = profiler_ != nullptr;
-    current_.hasCoherence = coherent_;
 }
 
 WindowSampler::Totals
@@ -46,10 +44,6 @@ WindowSampler::read() const
     t.storeMisses = stats.l1.storeMisses;
     if (profiler_)
         t.conflictMisses = profiler_->profile().conflictMisses();
-    if (stats.hasMultiCore) {
-        t.interventions = stats.mc.interventions;
-        t.invalidationMessages = stats.mc.invalidationMessages;
-    }
     return t;
 }
 
@@ -68,9 +62,6 @@ WindowSampler::sample()
     // rather than letting the unsigned subtraction wrap.
     if (now.conflictMisses > last_.conflictMisses)
         current_.conflictMisses += now.conflictMisses - last_.conflictMisses;
-    current_.interventions += now.interventions - last_.interventions;
-    current_.invalidationMessages +=
-        now.invalidationMessages - last_.invalidationMessages;
     last_ = now;
 
     if (current_.accesses() >= window_) {
@@ -80,7 +71,6 @@ WindowSampler::sample()
         next.index = current_.index + 1;
         next.startAccess = current_.endAccess;
         next.hasConflict = current_.hasConflict;
-        next.hasCoherence = current_.hasCoherence;
         current_ = next;
     }
 }
@@ -126,13 +116,6 @@ windowsJson(const std::vector<ObsWindow> &windows, int indent)
                           w.conflictMisses);
             out += buf;
         }
-        if (w.hasCoherence) {
-            std::snprintf(buf, sizeof(buf),
-                          ", \"interventions\": %" PRIu64
-                          ", \"invalidation_messages\": %" PRIu64,
-                          w.interventions, w.invalidationMessages);
-            out += buf;
-        }
         out += "}";
     }
     out += first ? "]" : "\n" + pad + "]";
@@ -144,15 +127,11 @@ windowsCsv(const std::vector<ObsWindow> &windows)
 {
     const bool conflict =
         !windows.empty() && windows.front().hasConflict;
-    const bool coherence =
-        !windows.empty() && windows.front().hasCoherence;
     std::string out =
         "window,start,end,loads,stores,load_misses,store_misses,"
         "miss_ratio";
     if (conflict)
         out += ",conflict_misses";
-    if (coherence)
-        out += ",interventions,invalidation_messages";
     out += "\n";
     char buf[256];
     for (const ObsWindow &w : windows) {
@@ -166,11 +145,6 @@ windowsCsv(const std::vector<ObsWindow> &windows)
         if (conflict) {
             std::snprintf(buf, sizeof(buf), ",%" PRIu64,
                           w.conflictMisses);
-            out += buf;
-        }
-        if (coherence) {
-            std::snprintf(buf, sizeof(buf), ",%" PRIu64 ",%" PRIu64,
-                          w.interventions, w.invalidationMessages);
             out += buf;
         }
         out += "\n";

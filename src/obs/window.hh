@@ -1,7 +1,7 @@
 /**
  * @file
  * Windowed time-series sampling: per-N-accesses windows of miss
- * ratio, conflict misses and coherence traffic over a replay.
+ * ratio and conflict misses over a replay.
  *
  * End-of-run aggregates hide phase behavior — a 12% overall miss
  * ratio can be 2% for half the run and 22% for the other half, which
@@ -51,10 +51,6 @@ struct ObsWindow
     bool hasConflict = false;        ///< target wrapped by a profiler
     std::uint64_t conflictMisses = 0;
 
-    bool hasCoherence = false; ///< multicore target
-    std::uint64_t interventions = 0;
-    std::uint64_t invalidationMessages = 0;
-
     std::uint64_t
     accesses() const
     {
@@ -81,8 +77,7 @@ class WindowSampler
   public:
     /**
      * @param target the target being replayed. When it is (or wraps
-     *        into) a ConflictProfiler, windows carry conflict misses;
-     *        when it is a multicore system, coherence traffic.
+     *        into) a ConflictProfiler, windows carry conflict misses.
      * @param window_size minimum accesses per window (> 0).
      */
     WindowSampler(SimTarget &target, std::uint64_t window_size);
@@ -111,14 +106,12 @@ class WindowSampler
         std::uint64_t loads = 0, stores = 0;
         std::uint64_t loadMisses = 0, storeMisses = 0;
         std::uint64_t conflictMisses = 0;
-        std::uint64_t interventions = 0, invalidationMessages = 0;
     };
 
     Totals read() const;
 
     SimTarget *target_;
     const ConflictProfiler *profiler_; ///< non-null when attributable
-    bool coherent_;
     std::uint64_t window_;
     Totals last_;       ///< totals at the previous poke
     ObsWindow current_; ///< accumulating window

@@ -48,7 +48,7 @@ expect_same(${GOLDEN}/compare_swim.csv ${WORK}/loaded.csv)
 run_to(${WORK}/streamed.csv ${SIM} --trace swim.trc --compare --csv --stream)
 expect_same(${GOLDEN}/compare_swim.csv ${WORK}/streamed.csv)
 
-# 2. Two-core coherent system over a swim+tomcatv mix.
+# 2. Two-core system (private L1s, shared L2) over a swim+tomcatv mix.
 run_to(${WORK}/mc.csv ${SIM} --scenario mix:swim+tomcatv@q=50k --compare
        --cores 2 --csv --threads 1)
 expect_same(${GOLDEN}/mc_swim_tomcatv.csv ${WORK}/mc.csv)

@@ -194,11 +194,12 @@ TEST(ShardReplay, HierarchyTargetsShard)
 
 TEST(ShardReplay, MultiCoreTargetsFallBackToMonolithic)
 {
-    // Coherence state spans the whole stream: a cold-started slice
-    // would miss the invalidations and interventions earlier slices
-    // caused, so multi-core targets must reject sharding explicitly
-    // (monolithic fallback with a note, like Cpu) instead of summing
-    // silently wrong per-slice deltas.
+    // The shared L2's eviction history spans the whole stream: a
+    // cold-started slice would misattribute inter-core conflict misses
+    // caused by evictions in earlier slices, so multi-core targets
+    // must reject sharding explicitly (monolithic fallback with a
+    // note, like Cpu) instead of summing silently wrong per-slice
+    // deltas.
     const Trace trace = proxyTrace();
     const TargetFactory factory = cacheFactory("mc:2xa2/a4");
     const TargetStats want = monolithic(factory, trace);
@@ -223,9 +224,10 @@ TEST(ShardReplay, MultiCoreTargetsFallBackToMonolithic)
     EXPECT_FALSE(one.fellBack);
     ASSERT_TRUE(one.stats.hasMultiCore);
     expectCacheStatsEqual(one.stats.l1, want.l1, "mc-one-shard");
-    EXPECT_EQ(one.stats.mc.interventions, want.mc.interventions);
-    EXPECT_EQ(one.stats.mc.invalidationMessages,
-              want.mc.invalidationMessages);
+    EXPECT_EQ(one.stats.mc.totalL2EvictionsByOthers(),
+              want.mc.totalL2EvictionsByOthers());
+    EXPECT_EQ(one.stats.mc.totalInterCoreConflictMisses(),
+              want.mc.totalInterCoreConflictMisses());
 }
 
 } // anonymous namespace

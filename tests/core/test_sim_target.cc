@@ -127,7 +127,7 @@ TEST(TwoLevelTargetTest, MatchesHandRolledHierarchy)
         makeLevel(IndexKind::Modulo, 256 * 1024, 2, 18), PageMap());
     for (const auto &rec : trace) {
         if (isMemOp(rec.op))
-            reference.access(0, rec.addr, rec.op == OpClass::Store);
+            reference.access(rec.addr, rec.op == OpClass::Store);
     }
 
     // Engine path: the same configuration through the label grammar.

@@ -38,10 +38,10 @@ TEST(Aliases, AtMostOneAliasResidesInL1)
     const std::uint64_t vb = 0x900000;
     h.pageMap().aliasTo(vb, va);
 
-    h.access(0, va, false); // fill via alias A
+    h.access(va, false); // fill via alias A
     EXPECT_TRUE(h.l1(0).probe(va));
 
-    h.access(0, vb, false); // alias B removes A from L1
+    h.access(vb, false); // alias B removes A from L1
     EXPECT_TRUE(h.l1(0).probe(vb));
     EXPECT_FALSE(h.l1(0).probe(va));
     EXPECT_EQ(h.aggregateHoles().aliasRemovals, 1u);
@@ -55,10 +55,10 @@ TEST(Aliases, PhysicalCopyStaysAtL2)
     const std::uint64_t vb = 0x900000;
     h.pageMap().aliasTo(vb, va);
 
-    h.access(0, va, false);
+    h.access(va, false);
     const std::uint64_t l2_misses = h.aggregateHoles().l2Misses;
     // The alias access misses L1 but hits L2 (same physical block).
-    h.access(0, vb, false);
+    h.access(vb, false);
     EXPECT_EQ(h.aggregateHoles().l2Misses, l2_misses);
     EXPECT_TRUE(h.l2().probe(h.pageMap().translate(va)));
 }
@@ -72,11 +72,11 @@ TEST(Aliases, InterleavedAliasesPingPongWithoutL2Traffic)
     const std::uint64_t vb = 0xA00000;
     h.pageMap().aliasTo(vb, va);
 
-    h.access(0, va, false); // one L2 miss for the physical block
+    h.access(va, false); // one L2 miss for the physical block
     const std::uint64_t l2_before = h.aggregateHoles().l2Misses;
     for (int i = 0; i < 20; ++i) {
-        h.access(0, va, false);
-        h.access(0, vb, false);
+        h.access(va, false);
+        h.access(vb, false);
     }
     EXPECT_EQ(h.aggregateHoles().l2Misses, l2_before); // all L2 hits
     EXPECT_GE(h.aggregateHoles().aliasRemovals, 20u);  // L1 ping-pong
@@ -86,9 +86,9 @@ TEST(Aliases, InterleavedAliasesPingPongWithoutL2Traffic)
 TEST(Aliases, SameVirtualBlockIsNotAnAlias)
 {
     auto h = makeHierarchy();
-    h.access(0, 0x300000, false);
+    h.access(0x300000, false);
     for (int i = 0; i < 10; ++i)
-        h.access(0, 0x300000 + 8 * i, false); // same block, hits
+        h.access(0x300000 + 8 * i, false); // same block, hits
     EXPECT_EQ(h.aggregateHoles().aliasRemovals, 0u);
 }
 
@@ -96,7 +96,7 @@ TEST(Aliases, NonAliasedPagesUnaffected)
 {
     auto h = makeHierarchy();
     for (std::uint64_t a = 0; a < 128 * 1024; a += 32)
-        h.access(0, a, false);
+        h.access(a, false);
     EXPECT_EQ(h.aggregateHoles().aliasRemovals, 0u);
     EXPECT_TRUE(h.checkInclusion());
 }

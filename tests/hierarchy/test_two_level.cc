@@ -45,8 +45,8 @@ makeHierarchy(std::uint64_t l2_size = 256 * 1024)
 TEST(TwoLevel, MissFillsBothLevels)
 {
     auto h = makeHierarchy();
-    EXPECT_FALSE(h.access(0, 0x10000, false));
-    EXPECT_TRUE(h.access(0, 0x10000, false));
+    EXPECT_FALSE(h.access(0x10000, false));
+    EXPECT_TRUE(h.access(0x10000, false));
     EXPECT_EQ(h.aggregateHoles().l1Misses, 1u);
     EXPECT_EQ(h.aggregateHoles().l2Misses, 1u);
 }
@@ -56,13 +56,13 @@ TEST(TwoLevel, L2HitAfterL1Eviction)
     auto h = makeHierarchy();
     // Touch far more than L1 holds but well within L2.
     for (std::uint64_t a = 0; a < 64 * 1024; a += 32)
-        h.access(0, a, false);
+        h.access(a, false);
     const auto misses_before = h.aggregateHoles().l2Misses;
     // Re-walk: L1 misses hit in L2. Pseudo-random L2 placement has a
     // few balls-in-bins collisions for a footprint of 1/4 capacity, so
     // allow a small residue rather than zero.
     for (std::uint64_t a = 0; a < 64 * 1024; a += 32)
-        h.access(0, a, false);
+        h.access(a, false);
     const auto new_misses = h.aggregateHoles().l2Misses - misses_before;
     EXPECT_LT(new_misses, misses_before / 3);
 }
@@ -73,7 +73,7 @@ TEST(TwoLevel, InclusionHoldsUnderRandomTraffic)
     Rng rng(3);
     for (int i = 0; i < 50000; ++i) {
         const std::uint64_t addr = rng.nextBelow(2ull << 20) & ~7ull;
-        h.access(0, addr, rng.chance(0.3));
+        h.access(addr, rng.chance(0.3));
         if (i % 5000 == 0) {
             EXPECT_TRUE(h.checkInclusion()) << "at access " << i;
         }
@@ -88,7 +88,7 @@ TEST(TwoLevel, HolesAppearWhenL2Thrashes)
     auto h = makeHierarchy(64 * 1024);
     Rng rng(5);
     for (int i = 0; i < 80000; ++i)
-        h.access(0, rng.nextBelow(1ull << 20) & ~7ull, false);
+        h.access(rng.nextBelow(1ull << 20) & ~7ull, false);
     const HoleStats s = h.aggregateHoles();
     EXPECT_GT(s.l2Replacements, 0u);
     EXPECT_GT(s.holesCreated, 0u);
@@ -103,7 +103,7 @@ TEST(TwoLevel, HoleRateTracksAnalyticModel)
     Rng rng(7);
     // Working set bigger than L2 so L2 replaces continuously.
     for (int i = 0; i < 400000; ++i)
-        h.access(0, rng.nextBelow(1ull << 21) & ~7ull, false);
+        h.access(rng.nextBelow(1ull << 21) & ~7ull, false);
 
     HoleModel model = HoleModel::fromBlockCounts(256, 8192);
     const double measured = h.aggregateHoles().holesPerL2Miss();
@@ -118,7 +118,7 @@ TEST(TwoLevel, HoleRefillsAreCounted)
     auto h = makeHierarchy(64 * 1024);
     Rng rng(9);
     for (int i = 0; i < 100000; ++i)
-        h.access(0, rng.nextBelow(512ull << 10) & ~7ull, false);
+        h.access(rng.nextBelow(512ull << 10) & ~7ull, false);
     // Some holed blocks get re-referenced eventually.
     EXPECT_GT(h.aggregateHoles().holeRefills, 0u);
 }
@@ -126,13 +126,13 @@ TEST(TwoLevel, HoleRefillsAreCounted)
 TEST(TwoLevel, ExternalInvalidateRemovesFromBothLevels)
 {
     auto h = makeHierarchy();
-    h.access(0, 0x30000, false);
+    h.access(0x30000, false);
     const std::uint64_t paddr = h.pageMap().translate(0x30000);
     h.externalInvalidate(paddr);
     EXPECT_EQ(h.aggregateHoles().externalInvalidates, 1u);
     EXPECT_FALSE(h.l2().probe(paddr));
     // The next access misses at L1 again (it was shot down).
-    EXPECT_FALSE(h.access(0, 0x30000, false));
+    EXPECT_FALSE(h.access(0x30000, false));
 }
 
 TEST(TwoLevel, RejectsMismatchedBlockSizes)
@@ -157,7 +157,7 @@ TEST(TwoLevel, WritebackL1UpdatesL2)
     CoherentSystem h(std::move(l1), makeL2(), PageMap());
     Rng rng(11);
     for (int i = 0; i < 30000; ++i)
-        h.access(0, rng.nextBelow(256ull << 10) & ~7ull, rng.chance(0.5));
+        h.access(rng.nextBelow(256ull << 10) & ~7ull, rng.chance(0.5));
     EXPECT_TRUE(h.checkInclusion());
 }
 
